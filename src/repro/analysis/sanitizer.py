@@ -3,6 +3,9 @@
 With ``REPRO_SANITIZE=1`` (or ``sanitize=True`` anywhere in the stack) the
 engine routes every structural boundary through one :class:`Sanitizer`:
 
+* when a commit builds the merged function a plan priced
+  (``after_materialise``) — the built function must cost exactly the
+  priced size and take the priced number of arguments;
 * after each committed merge (``after_commit``) — verifier v2 over the
   functions the commit touched plus the merge-correctness linter;
 * at the end of an engine run (``after_run``) — whole-module verification
@@ -84,6 +87,22 @@ class Sanitizer:
         return stats
 
     # -- stage boundaries ----------------------------------------------------
+    def after_materialise(self, layout, result, target
+                          ) -> List[AnalysisDiagnostic]:
+        """The merge a plan priced must cost what the function the commit
+        built costs: same ``target.function_cost``, same argument count."""
+        started = time.perf_counter()
+        merged = result.merged
+        built = (target.function_cost(merged), len(merged.arguments))
+        diagnostics: List[AnalysisDiagnostic] = []
+        if (layout.size, layout.arguments) != built:
+            diagnostics.append(error(
+                "sanitizer.price-divergence", merged.name, "function",
+                f"priced size {layout.size} with {layout.arguments} "
+                f"arguments, built size {built[0]} with {built[1]}"))
+        return self._finish(diagnostics, started,
+                            f"after materialising {merged.name}")
+
     def after_commit(self, module: Module, result, applied,
                      call_graph: Optional[CallGraph] = None
                      ) -> List[AnalysisDiagnostic]:

@@ -13,7 +13,8 @@ against:
   structure-derived alignment, which produces exactly those guarded
   diamonds/selects);
 * a merge is committed only when the code-size cost model says it is
-  profitable.
+  profitable (each pair is priced first; only a merge that commits is
+  built).
 
 The original technique merges whole groups of similar functions at once; we
 merge pairwise and iterate, which the paper notes is the main structural
@@ -34,10 +35,10 @@ from ..passes.pass_manager import Pass
 from ..targets.cost_model import TargetCostModel
 from ..targets.x86_64 import X86_64
 from ..core.alignment import AlignedEntry, AlignmentResult
-from ..core.codegen import CodegenError, MergeOptions, merge_functions
+from ..core.codegen import CodegenError, MergeOptions, price_merge
 from ..core.equivalence import entries_equivalent, types_equivalent
 from ..core.linearizer import LinearEntry, linearize
-from ..core.profitability import estimate_profit
+from ..core.profitability import estimate_layout_profit
 from ..core.thunks import apply_merge
 
 
@@ -169,14 +170,15 @@ class StructuralFunctionMergingPass(Pass):
                             continue
                         try:
                             alignment = structural_alignment(f1, f2)
-                            result = merge_functions(f1, f2, self.options, alignment)
+                            layout = price_merge(f1, f2, self.target,
+                                                 self.options, alignment)
                         except CodegenError:
                             continue
-                        evaluation = estimate_profit(result, self.target, graph,
-                                                     self.allow_deletion)
+                        evaluation = estimate_layout_profit(
+                            layout, self.target, graph, self.allow_deletion)
                         if not evaluation.profitable:
-                            result.merged.drop_body()
                             continue
+                        result = layout.materialise()
                         applied = apply_merge(module, result, graph, self.allow_deletion)
                         graph.rebuild()
                         available.discard(f1.name)

@@ -3,14 +3,16 @@
 Public API:
 
 * :func:`merge_functions` — merge one pair of functions (pure, no module
-  mutation).
+  mutation); :func:`price_merge` — the same decisions, costed without
+  building the merged function.
 * :class:`FunctionMergingPass` — the full ranked exploration framework.
 * :func:`align`, :func:`needleman_wunsch`, :func:`hirschberg` — sequence
   alignment.
 * :func:`linearize` — CFG linearization.
 * :class:`Fingerprint`, :func:`similarity`, :class:`CandidateRanker` — the
   ranking infrastructure.
-* :func:`estimate_profit` — the profitability cost model.
+* :func:`estimate_profit` / :func:`estimate_layout_profit` — the
+  profitability cost model, of a built or a priced merge.
 * :func:`apply_merge` — commit a merge into a module (thunks / call updates).
 """
 
@@ -24,9 +26,9 @@ from .alignment import (AlignedEntry, AlignmentResult, ScoringScheme, align,
                         hirschberg, needleman_wunsch, needleman_wunsch_banded,
                         needleman_wunsch_banded_keyed, needleman_wunsch_keyed,
                         ops_string, solve_keyed_alignment)
-from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
-                      MergeResult, merge_functions, merge_parameter_lists,
-                      merge_return_types)
+from .codegen import (CodegenError, MergeCodeGenerator, MergeLayout,
+                      MergeOptions, MergeResult, merge_functions,
+                      merge_parameter_lists, merge_return_types, price_merge)
 from .engine import (AlignmentCache, IndexedCandidateSearcher, MergeEngine,
                      MergeSession, ModuleEdit, SessionUpdateReport, Stage,
                      StageStats, apply_edit, make_searcher)
@@ -45,7 +47,8 @@ from .native import (native_available, needleman_wunsch_banded_native,
                      solve_keyed_alignment_native)
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
-from .profitability import MergeEvaluation, estimate_profit
+from .profitability import (MergeEvaluation, estimate_layout_profit,
+                            estimate_profit)
 from .ranking import CandidateRanker, RankedCandidate
 from .thunks import AppliedMerge, apply_merge, build_thunk
 
@@ -63,8 +66,9 @@ __all__ = [
     "needleman_wunsch_banded_native_keyed", "solve_keyed_alignment_native",
     "AlignmentCache",
     "ops_string", "solve_keyed_alignment", "decode_canonical_keys",
-    "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",
-    "merge_functions", "merge_parameter_lists", "merge_return_types",
+    "CodegenError", "MergeCodeGenerator", "MergeLayout", "MergeOptions",
+    "MergeResult", "merge_functions", "merge_parameter_lists",
+    "merge_return_types", "price_merge",
     "IndexedCandidateSearcher", "MergeEngine", "MergeSession", "ModuleEdit",
     "SessionUpdateReport", "Stage", "StageStats", "apply_edit",
     "make_searcher",
@@ -77,7 +81,7 @@ __all__ = [
     "sequence_signature",
     "FunctionMergingPass", "MergeRecord", "MergeReport", "STAGES",
     "make_hotness_filter",
-    "MergeEvaluation", "estimate_profit",
+    "MergeEvaluation", "estimate_layout_profit", "estimate_profit",
     "CandidateRanker", "RankedCandidate",
     "AppliedMerge", "apply_merge", "build_thunk",
 ]

@@ -18,6 +18,13 @@ The four responsibilities described in the paper:
   sequence: the first creates blocks and cloned instructions together with
   the guarding "diamonds" around non-matching segments, the second assigns
   operands through the value maps.
+
+The paper decides a merge by building the merged function and costing it
+(Section IV-A).  Here the two passes make every decision once, in
+:class:`MergeCodeGenerator`, and hand each to a *sink*: the IR sink builds
+the function (:func:`merge_functions`), the cost sink only adds up its
+target code-size cost and argument count (:func:`price_merge`).  A merge
+engine prices every candidate and builds only the one it commits.
 """
 
 from __future__ import annotations
@@ -29,12 +36,15 @@ from ..ir import types as ty
 from ..ir import values as vals
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Branch, Cast, Instruction, Select
+from ..ir.instructions import TERMINATOR_OPS, Branch, Cast, Instruction, Select
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .alignment import AlignedEntry, AlignmentResult, ScoringScheme, align
 from .equivalence import entries_equivalent, types_equivalent
 from .fingerprint import FingerprintDelta
 from .linearizer import LinearEntry, linearize
+
+
+_LABEL = LinearEntry.LABEL
 
 
 class CodegenError(Exception):
@@ -62,6 +72,13 @@ class MergeOptions:
     traversal: str = "rpo"
     #: Name to give the merged function (auto-generated when None).
     merged_name: Optional[str] = None
+
+
+def _invert_arg_map(arg_map: Dict[Argument, Argument]) -> Dict[int, int]:
+    sources: Dict[int, int] = {}
+    for orig_arg, mapped in arg_map.items():
+        sources.setdefault(id(mapped), orig_arg.index)
+    return sources
 
 
 class MergeResult:
@@ -96,6 +113,10 @@ class MergeResult:
             arg_map1, arg_map2)
         self.alignment = alignment
         self.fingerprint_delta = fingerprint_delta or FingerprintDelta()
+        # per side: merged parameter (by id) -> index of the first original
+        # argument bound to it (the inverse of the argument map)
+        self._arg_sources: Tuple[Dict[int, int], ...] = tuple(
+            _invert_arg_map(arg_map) for arg_map in self.arg_maps)
 
     # -- helpers used when rewriting call sites / building thunks ----------------
     def side_of(self, function: Function) -> int:
@@ -117,22 +138,17 @@ class MergeResult:
         Unbound merged parameters receive ``undef`` values, exactly as the
         paper describes for parameters not used by the called original.
         """
-        function = (self.function1, self.function2)[side]
-        arg_map = self.arg_maps[side]
+        sources = self._arg_sources[side]
         merged_args: List[Value] = []
         for merged_param in self.merged.arguments:
             if merged_param is self.func_id:
                 merged_args.append(self.func_id_constant(side))
                 continue
-            source: Optional[Value] = None
-            for orig_arg, mapped in arg_map.items():
-                if mapped is merged_param:
-                    source = original_args[orig_arg.index]
-                    break
-            if source is None:
+            index = sources.get(id(merged_param))
+            if index is None:
                 merged_args.append(vals.undef(merged_param.type))
             else:
-                merged_args.append(source)
+                merged_args.append(original_args[index])
         return merged_args
 
     @property
@@ -155,10 +171,9 @@ def _co_occurrence_counts(alignment: AlignmentResult) -> Dict[Tuple[int, int], i
     second.  Used by the select-minimising parameter pairing."""
     counts: Dict[Tuple[int, int], int] = {}
     for entry in alignment.entries:
-        if not entry.is_match:
-            continue
         left, right = entry.left, entry.right
-        if not (left.is_instruction and right.is_instruction):
+        if (left is None or right is None
+                or left.kind == _LABEL or right.kind == _LABEL):
             continue
         for o1, o2 in zip(left.value.operands, right.value.operands):
             if isinstance(o1, Argument) and isinstance(o2, Argument):
@@ -272,11 +287,278 @@ def convert_value(value: Value, to_type: ty.Type, block: BasicBlock,
 
 
 # ---------------------------------------------------------------------------
-# The merger itself
+# The merger itself: one walk over the alignment, two sinks
 # ---------------------------------------------------------------------------
 
+def _unmapped(value: Value) -> Value:
+    """An operand the value maps do not hold: module-level values are
+    shared by the originals and the merged function, anything else is a
+    value pass 1 never emitted."""
+    if isinstance(value, (Constant, GlobalVariable, Function)):
+        return value
+    raise CodegenError(f"value {value!r} was never mapped during pass 1")
+
+
+def _leading_landingpad(block):
+    """The landing pad heading ``block``, or None (works on both sinks)."""
+    instructions = block.instructions
+    if instructions and instructions[0].opcode == "landingpad":
+        return instructions[0]
+    return None
+
+
+class _IRSink:
+    """Carries the walker's decisions out on real IR: builds the merged
+    :class:`Function` and records, for :meth:`Fingerprint.of_merged`,
+    everything it emits beyond the aligned clones."""
+
+    def __init__(self, name: str, return_type: ty.Type,
+                 param_types: List[ty.Type], param_names: List[str]):
+        self.function = Function(name, ty.function_type(return_type, param_types),
+                                 linkage="internal", arg_names=param_names)
+        self.arguments: List[Value] = self.function.arguments
+        self.fp_delta = FingerprintDelta()
+
+    def _extra(self, inst: Instruction) -> Instruction:
+        self.fp_delta.count(inst)
+        return inst
+
+    # -- pass 1 ----------------------------------------------------------------
+    def block(self, name: str) -> BasicBlock:
+        return self.function.append_block(name)
+
+    def clone(self, block: BasicBlock, original: Instruction) -> Instruction:
+        clone = original.clone()
+        block.append(clone)
+        return clone
+
+    def branch(self, block: BasicBlock, *operands: Value) -> None:
+        block.append(self._extra(Branch(*operands)))
+
+    def move_to_front(self, block: BasicBlock) -> None:
+        blocks = self.function.blocks
+        if blocks and blocks[0] is not block:
+            blocks.remove(block)
+            blocks.insert(0, block)
+
+    def dispatch(self, cond: Value, entry1: BasicBlock, entry2: BasicBlock) -> None:
+        dispatch = BasicBlock("entry.dispatch", self.function)
+        dispatch.append(self._extra(Branch(cond, entry1, entry2)))
+        self.function.blocks.insert(0, dispatch)
+
+    # -- pass 2 ----------------------------------------------------------------
+    def set_operand(self, inst: Instruction, index: int, value: Value) -> None:
+        inst.set_operand(index, value)
+
+    def select(self, cond: Value, v1: Value, v2: Value,
+               before: Instruction) -> Value:
+        select = self._extra(Select(cond, v1, v2, name="op.sel"))
+        before.parent.insert_before(before, select)
+        return select
+
+    def cast(self, value: Value, to_type: ty.Type, before: Instruction) -> Value:
+        return self._extra(convert_value(value, to_type, before.parent, before))
+
+    def hoist_landingpads(self, router: BasicBlock, pads) -> None:
+        hoisted = pads[0][0].clone()
+        router.append(self._extra(hoisted))
+        for lp, block in pads:
+            self.fp_delta.uncount(lp)
+            lp.replace_all_uses_with(hoisted)
+            block.remove(lp)
+            lp.drop_all_operands()
+
+    def append_operand(self, inst: Instruction, value: Value) -> None:
+        inst.append_operand(value)
+        self.fp_delta.add_operand(value.type)
+
+    def retype_operand(self, inst: Instruction, index: int, value: Value,
+                       old_type: ty.Type) -> None:
+        inst.set_operand(index, value)
+        self.fp_delta.retype_operand(old_type, value.type)
+
+    def func_id_used(self) -> bool:
+        return bool(self.arguments[0].users)
+
+    def drop_func_id(self) -> None:
+        merged = self.function
+        merged.arguments.pop(0)
+        for i, arg in enumerate(merged.arguments):
+            arg.index = i
+        new_type = ty.function_type(merged.function_type.return_type,
+                                    [a.type for a in merged.arguments])
+        merged.function_type = new_type
+        merged.type = ty.pointer(new_type)
+
+
+class _Priced:
+    """Placeholder for one value of the merged function while pricing: the
+    type the walker compares, and for instructions the opcode and operand
+    count the cost model reads and the block they sit in."""
+
+    __slots__ = ("type", "opcode", "n_operands", "parent")
+
+    def __init__(self, vtype: ty.Type, opcode: str = "", n_operands: int = 0,
+                 parent: Optional["_PricedBlock"] = None):
+        self.type = vtype
+        self.opcode = opcode
+        self.n_operands = n_operands
+        self.parent = parent
+
+
+class _PricedBlock:
+    """Placeholder for one block of the merged function while pricing."""
+
+    __slots__ = ("instructions", "is_terminated")
+
+    type = ty.LABEL
+
+    def __init__(self):
+        self.instructions: List[_Priced] = []
+        self.is_terminated = False
+
+
+class _CostSink:
+    """Carries the walker's decisions out as arithmetic: adds up the target
+    cost of every instruction the IR sink would leave in the merged body and
+    counts its arguments, touching no IR (no clones, no use-lists)."""
+
+    def __init__(self, target, param_types: List[ty.Type]):
+        self._target = target
+        self._costs: Dict[Tuple[str, int], int] = {}
+        self.arguments: List[_Priced] = [_Priced(t) for t in param_types]
+        self.argument_count = len(param_types)
+        self.body_cost = 0
+        self._blocks = 0
+        self._func_id_uses = 0
+
+    @property
+    def size(self) -> int:
+        """``target.function_cost`` of the merged function."""
+        if not self._blocks:
+            return 0
+        return self.body_cost + self._target.arguments_cost(self.argument_count)
+
+    def _cost(self, opcode: str, n_operands: int) -> int:
+        key = (opcode, n_operands)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self._target.opcode_cost(opcode, n_operands)
+        return cost
+
+    def _append(self, block: _PricedBlock, inst: _Priced) -> _Priced:
+        block.instructions.append(inst)
+        block.is_terminated = inst.opcode in TERMINATOR_OPS
+        self.body_cost += self._cost(inst.opcode, inst.n_operands)
+        return inst
+
+    def _insert_before(self, before: _Priced, inst: _Priced) -> _Priced:
+        instructions = before.parent.instructions
+        instructions.insert(instructions.index(before), inst)
+        self.body_cost += self._cost(inst.opcode, inst.n_operands)
+        return inst
+
+    # -- pass 1 ----------------------------------------------------------------
+    def block(self, name: str) -> _PricedBlock:
+        self._blocks += 1
+        return _PricedBlock()
+
+    def clone(self, block: _PricedBlock, original: Instruction) -> _Priced:
+        opcode, n_operands = original.opcode, len(original.operands)
+        inst = _Priced(original.type, opcode, n_operands, block)
+        block.instructions.append(inst)
+        block.is_terminated = opcode in TERMINATOR_OPS
+        cost = self._costs.get((opcode, n_operands))
+        if cost is None:
+            cost = self._cost(opcode, n_operands)
+        self.body_cost += cost
+        return inst
+
+    def branch(self, block: _PricedBlock, *operands) -> None:
+        if operands[0] is self.arguments[0]:
+            self._func_id_uses += 1
+        self._append(block, _Priced(ty.VOID, "br", len(operands), block))
+
+    def move_to_front(self, block: _PricedBlock) -> None:
+        pass
+
+    def dispatch(self, cond, entry1, entry2) -> None:
+        self.branch(self.block("entry.dispatch"), cond, entry1, entry2)
+
+    # -- pass 2 ----------------------------------------------------------------
+    def set_operand(self, inst, index, value) -> None:
+        pass
+
+    def select(self, cond, v1, v2, before: _Priced) -> _Priced:
+        if cond is self.arguments[0]:
+            self._func_id_uses += 1
+        return self._insert_before(before, _Priced(v1.type, "select", 3,
+                                                   before.parent))
+
+    def cast(self, value, to_type: ty.Type, before: _Priced) -> _Priced:
+        return self._insert_before(before, _Priced(
+            to_type, _conversion_opcode(value.type, to_type), 1, before.parent))
+
+    def hoist_landingpads(self, router: _PricedBlock, pads) -> None:
+        first = pads[0][0]
+        self._append(router, _Priced(first.type, first.opcode,
+                                     first.n_operands, router))
+        for lp, block in pads:
+            self.body_cost -= self._cost(lp.opcode, lp.n_operands)
+            block.instructions.remove(lp)
+            lp.parent = None
+
+    def append_operand(self, inst: _Priced, value) -> None:
+        self.body_cost += (self._cost(inst.opcode, inst.n_operands + 1)
+                           - self._cost(inst.opcode, inst.n_operands))
+        inst.n_operands += 1
+
+    def retype_operand(self, inst, index, value, old_type) -> None:
+        pass
+
+    def func_id_used(self) -> bool:
+        return self._func_id_uses > 0
+
+    def drop_func_id(self) -> None:
+        self.argument_count -= 1
+
+
+class MergeLayout:
+    """A priced merge candidate: what the merged function of ``alignment``
+    would cost, without building it.
+
+    ``size`` equals ``target.function_cost`` of the function
+    :meth:`materialise` builds and ``arguments`` its argument count - the
+    two figures the profitability model needs - because both come from the
+    same walk over the alignment (:class:`MergeCodeGenerator`).
+    """
+
+    def __init__(self, function1: Function, function2: Function,
+                 alignment: AlignmentResult, options: MergeOptions,
+                 size: int, arguments: int):
+        self.function1 = function1
+        self.function2 = function2
+        self.alignment = alignment
+        self.options = options
+        self.size = size
+        self.arguments = arguments
+
+    def materialise(self) -> MergeResult:
+        """Build the merged function this layout priced."""
+        return MergeCodeGenerator(self.function1, self.function2, self.options,
+                                  self.alignment).generate()
+
+
 class MergeCodeGenerator:
-    """Generates the merged function for one pair of originals."""
+    """Makes every code-generation decision for one pair of originals.
+
+    The two passes below walk the alignment once each and decide blocks,
+    guard diamonds, entry dispatch, operand selects, casts, label routers
+    with landing-pad hoisting, return fix-ups and whether ``func_id``
+    survives.  A *sink* carries each decision out: :meth:`generate` walks
+    with the IR sink and returns the merged function, :meth:`price` walks
+    with the cost sink and returns only its size and argument count.
+    """
 
     def __init__(self, function1: Function, function2: Function,
                  options: Optional[MergeOptions] = None,
@@ -288,57 +570,33 @@ class MergeCodeGenerator:
 
         self.value_map1: Dict[int, Value] = {}
         self.value_map2: Dict[int, Value] = {}
-        self.merged: Optional[Function] = None
-        self.func_id: Optional[Argument] = None
+        self.sink = None
+        self.func_id: Optional[Value] = None
         self.return_type: Optional[ty.Type] = None
-        self._merged_entry_candidates: Tuple[Optional[BasicBlock], Optional[BasicBlock]] = (None, None)
-        # everything emitted beyond the aligned clones, for the incremental
-        # merged-function fingerprint (Fingerprint.of_merged)
-        self.fp_delta = FingerprintDelta()
-
-    def _emit_extra(self, inst: Instruction) -> Instruction:
-        """Record an instruction the aligned columns do not account for."""
-        self.fp_delta.count(inst)
-        return inst
-
-    def _convert(self, value: Value, to_type: ty.Type, block: BasicBlock,
-                 before: Optional[Instruction] = None) -> Value:
-        """``convert_value`` with fingerprint accounting of the cast."""
-        converted = convert_value(value, to_type, block, before)
-        if converted is not value and isinstance(converted, Instruction):
-            self.fp_delta.count(converted)
-        return converted
 
     # -- public API ----------------------------------------------------------
     def generate(self) -> MergeResult:
+        """Build the merged function (IR sink)."""
         alignment = self._given_alignment or self.align()
-        param_types, param_names, binding1, binding2 = merge_parameter_lists(
-            self.f1, self.f2, alignment, self.options)
-        self.return_type = merge_return_types(self.f1, self.f2)
-
         name = self.options.merged_name or f"__merged_{self.f1.name}_{self.f2.name}"
-        fnty = ty.function_type(self.return_type, param_types)
-        merged = Function(name, fnty, linkage="internal", arg_names=param_names)
-        self.merged = merged
-        self.func_id = merged.arguments[0]
+        sink = self._walk(alignment, lambda types, names: _IRSink(
+            name, self.return_type, types, names))
 
-        # seed the value maps with argument bindings
-        for arg in self.f1.arguments:
-            self.value_map1[id(arg)] = merged.arguments[binding1[arg.index]]
-        for arg in self.f2.arguments:
-            self.value_map2[id(arg)] = merged.arguments[binding2[arg.index]]
-
-        self._build_skeleton(alignment)
-        self._fix_entry_block()
-        self._assign_operands(alignment)
-        func_id = self._finalize_func_id()
-
+        merged = sink.function
         arg_map1 = {arg: self.value_map1[id(arg)] for arg in self.f1.arguments}
         arg_map2 = {arg: self.value_map2[id(arg)] for arg in self.f2.arguments}
-        result = MergeResult(merged, self.f1, self.f2, func_id, arg_map1, arg_map2,
-                             alignment, self.fp_delta)
+        result = MergeResult(merged, self.f1, self.f2, self.func_id, arg_map1,
+                             arg_map2, alignment, sink.fp_delta)
         merged.merged_from = (self.f1.name, self.f2.name)
         return result
+
+    def price(self, target) -> MergeLayout:
+        """Price the merged function for ``target`` (cost sink)."""
+        alignment = self._given_alignment or self.align()
+        sink = self._walk(alignment,
+                          lambda types, names: _CostSink(target, types))
+        return MergeLayout(self.f1, self.f2, alignment, self.options,
+                           sink.size, sink.argument_count)
 
     def align(self) -> AlignmentResult:
         """Linearize both functions and align the sequences."""
@@ -347,68 +605,84 @@ class MergeCodeGenerator:
         return align(entries1, entries2, entries_equivalent,
                      self.options.scoring, self.options.alignment_algorithm)
 
+    def _walk(self, alignment: AlignmentResult, make_sink):
+        """Merge the signatures, open a sink for the merged one
+        (``make_sink(param_types, param_names)``) and run both passes."""
+        param_types, param_names, binding1, binding2 = merge_parameter_lists(
+            self.f1, self.f2, alignment, self.options)
+        self.return_type = merge_return_types(self.f1, self.f2)
+        sink = self.sink = make_sink(param_types, param_names)
+        arguments = sink.arguments
+        self.func_id = arguments[0]
+        # seed the value maps with argument bindings
+        for arg in self.f1.arguments:
+            self.value_map1[id(arg)] = arguments[binding1[arg.index]]
+        for arg in self.f2.arguments:
+            self.value_map2[id(arg)] = arguments[binding2[arg.index]]
+
+        self._build_skeleton(alignment)
+        self._fix_entry_block()
+        self._assign_operands(alignment)
+        self._finalize_func_id()
+        return sink
+
     # -- pass 1: blocks, clones and guard diamonds ------------------------------
     def _build_skeleton(self, alignment: AlignmentResult) -> None:
-        merged = self.merged
-        assert merged is not None
-        cur_merged: Optional[BasicBlock] = None
-        cur_left: Optional[BasicBlock] = None
-        cur_right: Optional[BasicBlock] = None
+        sink = self.sink
+        cur_merged = None
+        cur_left = None
+        cur_right = None
 
-        def unterminated(block: Optional[BasicBlock]) -> bool:
+        def unterminated(block) -> bool:
             return block is not None and not block.is_terminated
 
+        map1, map2 = self.value_map1, self.value_map2
         for entry in alignment.entries:
-            if entry.is_match:
-                left: LinearEntry = entry.left
-                right: LinearEntry = entry.right
-                if left.is_label:
+            left: LinearEntry = entry.left
+            right: LinearEntry = entry.right
+            if left is not None and right is not None:
+                if left.kind == _LABEL:
                     # a new merged block shared by both functions
-                    new_block = merged.append_block(f"m.{left.value.name or 'bb'}")
+                    new_block = sink.block(f"m.{left.value.name or 'bb'}")
                     for block in (cur_merged, cur_left, cur_right):
                         if unterminated(block):
-                            block.append(self._emit_extra(Branch(new_block)))
-                    self.value_map1[id(left.value)] = new_block
-                    self.value_map2[id(right.value)] = new_block
+                            sink.branch(block, new_block)
+                    map1[id(left.value)] = new_block
+                    map2[id(right.value)] = new_block
                     cur_merged, cur_left, cur_right = new_block, None, None
                 else:
                     if cur_merged is None or cur_merged.is_terminated:
                         # re-convergence point after a divergent region
-                        join = merged.append_block("m.join")
+                        join = sink.block("m.join")
                         for block in (cur_left, cur_right):
                             if unterminated(block):
-                                block.append(self._emit_extra(Branch(join)))
+                                sink.branch(block, join)
                         if cur_left is None and cur_right is None and unterminated(cur_merged):
-                            cur_merged.append(self._emit_extra(Branch(join)))
+                            sink.branch(cur_merged, join)
                         cur_merged, cur_left, cur_right = join, None, None
-                    clone = left.value.clone()
-                    cur_merged.append(clone)
-                    self.value_map1[id(left.value)] = clone
-                    self.value_map2[id(right.value)] = clone
-            elif entry.is_left_only:
+                    clone = sink.clone(cur_merged, left.value)
+                    map1[id(left.value)] = clone
+                    map2[id(right.value)] = clone
+            elif right is None:
                 cur_left, cur_right, cur_merged = self._emit_one_sided(
-                    entry.left, side=0, cur=cur_left, other=cur_right,
-                    cur_merged=cur_merged)
+                    left, 0, cur_left, cur_right, cur_merged)
             else:
                 cur_right, cur_left, cur_merged = self._emit_one_sided(
-                    entry.right, side=1, cur=cur_right, other=cur_left,
-                    cur_merged=cur_merged)
+                    right, 1, cur_right, cur_left, cur_merged)
 
-    def _emit_one_sided(self, lentry: LinearEntry, side: int,
-                        cur: Optional[BasicBlock], other: Optional[BasicBlock],
-                        cur_merged: Optional[BasicBlock]):
+    def _emit_one_sided(self, lentry: LinearEntry, side: int, cur, other,
+                        cur_merged):
         """Emit a non-matching entry for one side.
 
         Returns the updated ``(cur, other, cur_merged)`` triple (from the
         perspective of the side being processed).
         """
-        merged = self.merged
-        assert merged is not None
+        sink = self.sink
         value_map = self.value_map1 if side == 0 else self.value_map2
         prefix = "l" if side == 0 else "r"
 
-        if lentry.is_label:
-            new_block = merged.append_block(f"{prefix}.{lentry.value.name or 'bb'}")
+        if lentry.kind == _LABEL:
+            new_block = sink.block(f"{prefix}.{lentry.value.name or 'bb'}")
             value_map[id(lentry.value)] = new_block
             return new_block, other, cur_merged
 
@@ -416,11 +690,9 @@ class MergeCodeGenerator:
         if cur is None or cur.is_terminated:
             if cur_merged is not None and not cur_merged.is_terminated:
                 # transition from a matched region: guard with a diamond
-                left_block = merged.append_block("guard.l")
-                right_block = merged.append_block("guard.r")
-                assert self.func_id is not None
-                cur_merged.append(
-                    self._emit_extra(Branch(self.func_id, left_block, right_block)))
+                left_block = sink.block("guard.l")
+                right_block = sink.block("guard.r")
+                sink.branch(cur_merged, self.func_id, left_block, right_block)
                 if side == 0:
                     cur, other = left_block, right_block
                 else:
@@ -430,92 +702,101 @@ class MergeCodeGenerator:
                 raise CodegenError(
                     f"dangling instruction for {'first' if side == 0 else 'second'} "
                     f"function: {lentry.value.opcode} has no block to live in")
-        clone = lentry.value.clone()
-        cur.append(clone)
-        value_map[id(lentry.value)] = clone
+        value_map[id(lentry.value)] = sink.clone(cur, lentry.value)
         return cur, other, cur_merged
 
     def _fix_entry_block(self) -> None:
         """Ensure the merged function's first block transfers control to the
         right code for both originals."""
-        merged = self.merged
-        assert merged is not None
         entry1 = self.value_map1[id(self.f1.entry_block)]
         entry2 = self.value_map2[id(self.f2.entry_block)]
         if entry1 is entry2:
-            if merged.blocks and merged.blocks[0] is not entry1:
-                merged.blocks.remove(entry1)
-                merged.blocks.insert(0, entry1)
-            return
-        assert self.func_id is not None
-        dispatch = BasicBlock("entry.dispatch", merged)
-        dispatch.append(self._emit_extra(Branch(self.func_id, entry1, entry2)))
-        merged.blocks.insert(0, dispatch)
+            self.sink.move_to_front(entry1)
+        else:
+            self.sink.dispatch(self.func_id, entry1, entry2)
 
     # -- pass 2: operands ---------------------------------------------------------
     def _assign_operands(self, alignment: AlignmentResult) -> None:
         for entry in alignment.entries:
-            if entry.is_match:
-                if entry.left.is_instruction:
-                    self._assign_matched_operands(entry.left.value, entry.right.value)
-            elif entry.is_left_only:
-                if entry.left.is_instruction:
-                    self._assign_single_operands(entry.left.value, side=0)
+            left, right = entry.left, entry.right
+            if left is None:
+                if right.kind != _LABEL:
+                    self._assign_single_operands(right.value, self.value_map2)
+            elif left.kind == _LABEL:
+                continue
+            elif right is None:
+                self._assign_single_operands(left.value, self.value_map1)
             else:
-                if entry.right.is_instruction:
-                    self._assign_single_operands(entry.right.value, side=1)
+                self._assign_matched_operands(left.value, right.value)
 
-    def _resolve(self, value: Value, side: int) -> Value:
+    @staticmethod
+    def _resolve(value: Value, value_map: Dict[int, Value]) -> Value:
         """Map an original value to its merged counterpart."""
-        if isinstance(value, (Constant, GlobalVariable, Function)):
-            return value
-        value_map = self.value_map1 if side == 0 else self.value_map2
         mapped = value_map.get(id(value))
-        if mapped is None:
-            raise CodegenError(f"value {value!r} was never mapped during pass 1")
-        return mapped
+        return mapped if mapped is not None else _unmapped(value)
 
-    def _assign_single_operands(self, original: Instruction, side: int) -> None:
-        clone = self._resolve(original, side)
-        assert isinstance(clone, Instruction)
+    def _assign_single_operands(self, original: Instruction,
+                                value_map: Dict[int, Value]) -> None:
+        sink = self.sink
+        mapped = value_map.get
+        clone = value_map[id(original)]
+        first = None
         for index, operand in enumerate(original.operands):
-            resolved = self._resolve(operand, side)
-            if (not isinstance(resolved, BasicBlock)
-                    and resolved.type != operand.type
-                    and types_equivalent(resolved.type, operand.type)):
-                resolved = self._convert(resolved, operand.type, clone.parent, clone)
-            clone.set_operand(index, resolved)
-        self._fixup_return(clone, original, side)
+            resolved = mapped(id(operand))
+            if resolved is None:
+                resolved = _unmapped(operand)
+            # labels resolve to labels, so only values are ever converted
+            rtype, otype = resolved.type, operand.type
+            if (rtype is not otype and rtype != otype
+                    and types_equivalent(rtype, otype)):
+                resolved = self._convert(resolved, otype, clone)
+            sink.set_operand(clone, index, resolved)
+            if index == 0:
+                first = resolved
+        if original.opcode == "ret":
+            self._fixup_return(clone, first, matched=False)
 
     def _assign_matched_operands(self, inst1: Instruction, inst2: Instruction) -> None:
-        clone = self._resolve(inst1, 0)
-        assert isinstance(clone, Instruction)
-        operands2 = list(inst2.operands)
+        sink = self.sink
+        mapped1, mapped2 = self.value_map1.get, self.value_map2.get
+        clone = self.value_map1[id(inst1)]
+        operands2 = inst2.operands
 
-        if (self.options.reorder_commutative and clone.is_commutative
+        if (self.options.reorder_commutative and inst1.is_commutative
                 and len(inst1.operands) >= 2 and len(operands2) >= 2):
             operands2 = self._reorder_commutative(inst1, operands2)
 
+        first = None
         for index, operand1 in enumerate(inst1.operands):
             operand2 = operands2[index]
-            v1 = self._resolve(operand1, 0)
-            v2 = self._resolve(operand2, 1)
-            if isinstance(v1, BasicBlock) or isinstance(v2, BasicBlock):
+            v1 = mapped1(id(operand1))
+            if v1 is None:
+                v1 = _unmapped(operand1)
+            v2 = mapped2(id(operand2))
+            if v2 is None:
+                v2 = _unmapped(operand2)
+            if v1 is v2:
+                merged_operand = v1
+            elif v1.type.is_label or v2.type.is_label:
                 merged_operand = self._merge_label_operand(v1, v2)
             else:
-                merged_operand = self._merge_value_operand(v1, v2, operand1, operand2, clone)
-            clone.set_operand(index, merged_operand)
+                merged_operand = self._merge_value_operand(v1, v2, clone)
+            sink.set_operand(clone, index, merged_operand)
+            if index == 0:
+                first = merged_operand
 
-        self._fixup_matched_return(clone, inst1, inst2)
+        if inst1.opcode == "ret":
+            self._fixup_return(clone, first, matched=True)
 
     def _reorder_commutative(self, inst1: Instruction, operands2: List[Value]) -> List[Value]:
         """Swap the first two operands of the second instruction when doing so
         turns two select-requiring operands into direct matches."""
         try:
-            v1a = self._resolve(inst1.operands[0], 0)
-            v1b = self._resolve(inst1.operands[1], 0)
-            v2a = self._resolve(operands2[0], 1)
-            v2b = self._resolve(operands2[1], 1)
+            map1, map2 = self.value_map1, self.value_map2
+            v1a = self._resolve(inst1.operands[0], map1)
+            v1b = self._resolve(inst1.operands[1], map1)
+            v2a = self._resolve(operands2[0], map2)
+            v2b = self._resolve(operands2[1], map2)
         except CodegenError:
             return operands2
         direct = (v1a is v2a) + (v1b is v2b)
@@ -525,34 +806,24 @@ class MergeCodeGenerator:
             operands2[0], operands2[1] = operands2[1], operands2[0]
         return operands2
 
-    def _merge_label_operand(self, block1: Value, block2: Value) -> Value:
+    def _merge_label_operand(self, block1, block2):
         """Operand selection for labels: identical targets pass through,
         different targets are routed through a new block that branches on the
         function identifier (with landing-pad hoisting when needed)."""
         if block1 is block2:
             return block1
-        assert isinstance(block1, BasicBlock) and isinstance(block2, BasicBlock)
-        merged = self.merged
-        assert merged is not None and self.func_id is not None
-        router = merged.append_block("route")
-        lp1 = block1.instructions[0] if (block1.instructions
-                                         and block1.instructions[0].opcode == "landingpad") else None
-        lp2 = block2.instructions[0] if (block2.instructions
-                                         and block2.instructions[0].opcode == "landingpad") else None
+        assert block1.type.is_label and block2.type.is_label
+        sink = self.sink
+        router = sink.block("route")
+        lp1 = _leading_landingpad(block1)
+        lp2 = _leading_landingpad(block2)
         if lp1 is not None and lp2 is not None:
             # hoist the landing pad into the router block (Section III-E)
-            hoisted = lp1.clone()
-            router.append(self._emit_extra(hoisted))
-            for lp, block in ((lp1, block1), (lp2, block2)):
-                self.fp_delta.uncount(lp)
-                lp.replace_all_uses_with(hoisted)
-                block.remove(lp)
-                lp.drop_all_operands()
-        router.append(self._emit_extra(Branch(self.func_id, block1, block2)))
+            sink.hoist_landingpads(router, ((lp1, block1), (lp2, block2)))
+        sink.branch(router, self.func_id, block1, block2)
         return router
 
-    def _merge_value_operand(self, v1: Value, v2: Value, operand1: Value,
-                             operand2: Value, clone: Instruction) -> Value:
+    def _merge_value_operand(self, v1: Value, v2: Value, clone) -> Value:
         """Operand selection for regular values: identical values (or equal
         constants) pass through, anything else becomes a select on the
         function identifier."""
@@ -560,63 +831,44 @@ class MergeCodeGenerator:
             return v1
         if isinstance(v1, Constant) and isinstance(v2, Constant) and v1 == v2:
             return v1
-        assert clone.parent is not None and self.func_id is not None
         if v2.type != v1.type and types_equivalent(v2.type, v1.type):
-            v2 = self._convert(v2, v1.type, clone.parent, clone)
-        select = self._emit_extra(Select(self.func_id, v1, v2, name="op.sel"))
-        clone.parent.insert_before(clone, select)
-        return select
+            v2 = self._convert(v2, v1.type, clone)
+        return self.sink.select(self.func_id, v1, v2, clone)
+
+    def _convert(self, value: Value, to_type: ty.Type, before) -> Value:
+        """Convert ``value`` to ``to_type`` right before ``before``, with a
+        cast only when one is needed (the rule :func:`convert_value`
+        applies)."""
+        if value.type == to_type:
+            return value
+        if isinstance(value, vals.UndefValue):
+            return vals.undef(to_type)
+        return self.sink.cast(value, to_type, before)
 
     # -- return handling ---------------------------------------------------------
-    def _fixup_return(self, clone: Instruction, original: Instruction, side: int) -> None:
-        if clone.opcode != "ret":
-            return
+    def _fixup_return(self, clone, value: Optional[Value], matched: bool) -> None:
+        """Make a cloned ``ret`` return the merged return type: append an
+        ``undef`` to a one-sided void return, convert a narrower value.
+        ``value`` is the operand just assigned to slot 0 (None if none)."""
         assert self.return_type is not None
         if self.return_type.is_void:
             return
-        if not clone.operands:
-            # the original returned void but the merged function does not
-            clone.append_operand(vals.undef(self.return_type))
-            self.fp_delta.add_operand(self.return_type)
+        if value is None:
+            if not matched:
+                # the original returned void but the merged function does not
+                self.sink.append_operand(clone, vals.undef(self.return_type))
             return
-        value = clone.operands[0]
         if value.type != self.return_type:
-            converted = self._convert(value, self.return_type, clone.parent, clone)
-            clone.set_operand(0, converted)
-            self.fp_delta.retype_operand(value.type, self.return_type)
-
-    def _fixup_matched_return(self, clone: Instruction, inst1: Instruction,
-                              inst2: Instruction) -> None:
-        if clone.opcode != "ret":
-            return
-        assert self.return_type is not None
-        if self.return_type.is_void or not clone.operands:
-            return
-        value = clone.operands[0]
-        if value.type != self.return_type:
-            converted = self._convert(value, self.return_type, clone.parent, clone)
-            clone.set_operand(0, converted)
-            self.fp_delta.retype_operand(value.type, self.return_type)
+            converted = self._convert(value, self.return_type, clone)
+            self.sink.retype_operand(clone, 0, converted, value.type)
 
     # -- func_id cleanup ------------------------------------------------------------
-    def _finalize_func_id(self) -> Optional[Argument]:
+    def _finalize_func_id(self) -> None:
         """Remove the function-identifier parameter when it ended up unused
         (identical functions), mirroring the paper's special case."""
-        merged = self.merged
-        assert merged is not None and self.func_id is not None
-        if self.func_id.users:
-            return self.func_id
-        merged.arguments.pop(0)
-        for i, arg in enumerate(merged.arguments):
-            arg.index = i
-        new_type = ty.function_type(merged.function_type.return_type,
-                                    [a.type for a in merged.arguments])
-        merged.function_type = new_type
-        merged.type = ty.pointer(new_type)
-        removed = self.func_id
-        self.func_id = None
-        del removed
-        return None
+        if not self.sink.func_id_used():
+            self.sink.drop_func_id()
+            self.func_id = None
 
 
 def merge_functions(function1: Function, function2: Function,
@@ -629,5 +881,16 @@ def merge_functions(function1: Function, function2: Function,
     :class:`~repro.core.pass_.FunctionMergingPass` driver) to commit a merge
     into a module, replace call sites and create thunks.
     """
-    generator = MergeCodeGenerator(function1, function2, options, alignment)
-    return generator.generate()
+    return MergeCodeGenerator(function1, function2, options, alignment).generate()
+
+
+def price_merge(function1: Function, function2: Function, target,
+                options: Optional[MergeOptions] = None,
+                alignment: Optional[AlignmentResult] = None) -> MergeLayout:
+    """Price the merge of two functions for ``target`` without building it.
+
+    Runs the same decisions as :func:`merge_functions`; the returned
+    :class:`MergeLayout` carries the merged function's code-size cost and
+    argument count, and :meth:`MergeLayout.materialise` builds it.
+    """
+    return MergeCodeGenerator(function1, function2, options, alignment).price(target)

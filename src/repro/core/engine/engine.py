@@ -315,7 +315,7 @@ class MergeEngine:
                                         keyed=keyed_alignment,
                                         kernel=alignment_kernel,
                                         cache=self.align_cache)
-        self.codegen = CodegenStage(self.options)
+        self.codegen = CodegenStage(self.options, self.target)
         self.profitability = ProfitabilityStage(self.target, allow_deletion)
         self.commit = CommitStage(allow_deletion,
                                   incremental=incremental_callgraph)
@@ -364,12 +364,14 @@ class MergeEngine:
     def plan_entry(self, name: str) -> Optional[MergePlan]:
         """Evaluate one worklist entry without mutating the module.
 
-        Runs candidate search, linearization, alignment, code generation and
+        Runs candidate search, linearization, alignment, pricing and
         profitability for the entry's ranked candidates - stopping at the
         first profitable one (or, under oracle, keeping the best of all) -
-        and packages the outcome as an immutable plan.  Returns ``None``
-        when the entry is stale (consumed or removed since it was enqueued).
-        Safe to call concurrently for distinct entries.
+        and packages the outcome as an immutable plan.  Candidates are only
+        priced (:meth:`CodegenStage.generate`): no merged function is built
+        here, the winner's is built by :meth:`commit_plan`.  Returns
+        ``None`` when the entry is stale (consumed or removed since it was
+        enqueued).  Safe to call concurrently for distinct entries.
         """
         if name not in self._available:
             return None
@@ -412,8 +414,8 @@ class MergeEngine:
             lin2 = self.linearize.get(function2)
             alignment = self.alignment.align_pair(lin1, lin2)
             try:
-                result = self.codegen.generate(function1, function2, alignment)
-                evaluation = self.profitability.evaluate(result, self._call_graph)
+                layout = self.codegen.generate(function1, function2, alignment)
+                evaluation = self.profitability.evaluate(layout, self._call_graph)
             except CodegenError:
                 plan.codegen_failures += 1
                 continue
@@ -421,15 +423,10 @@ class MergeEngine:
             if evaluation.profitable:
                 if self.oracle:
                     if best is None or evaluation.delta > best.evaluation.delta:
-                        if best is not None:
-                            best.result.merged.drop_body()
-                        best = PlanDecision(candidate, result, evaluation)
-                    else:
-                        result.merged.drop_body()
+                        best = PlanDecision(candidate, layout, evaluation)
                     continue
-                best = PlanDecision(candidate, result, evaluation)
+                best = PlanDecision(candidate, layout, evaluation)
                 break
-            result.merged.drop_body()
 
         plan.decision = best
         return plan
@@ -606,9 +603,14 @@ class MergeEngine:
 
     # -- commit (the only mutating step) ----------------------------------------
     def commit_plan(self, plan: MergePlan) -> CommitEvents:
-        """Apply a plan's profitable merge and update all bookkeeping."""
+        """Build a plan's profitable merge, apply it and update all
+        bookkeeping."""
         decision = plan.decision
-        result, evaluation = decision.result, decision.evaluation
+        evaluation = decision.evaluation
+        result = self.codegen.materialise(decision.layout)
+        if self.sanitizer is not None:
+            self.sanitizer.after_materialise(decision.layout, result,
+                                             self.target)
         module, call_graph = self._module, self._call_graph
         name1, name2 = result.function1.name, result.function2.name
         size_before = evaluation.size_function1 + evaluation.size_function2

@@ -1,12 +1,17 @@
 """Plan objects for the plan/commit merge scheduler.
 
 Every stage of the merge pipeline before *commit* is read-only: fingerprint
-lookups, candidate search, linearization, alignment, code generation and
-profitability analysis inspect the module but never mutate it.  A
-:class:`MergePlan` captures the complete outcome of that read-only prefix for
-one worklist entry - the candidate list the search returned, every pair that
-was evaluated, and the profitable merge (if any) ready to commit - so entries
-can be *planned* concurrently and *committed* serially.
+lookups, candidate search, linearization, alignment, pricing and
+profitability analysis inspect the module but never mutate it.  Pricing
+walks the code generator's decisions without building the merged function,
+so planning creates no IR and adds or removes no user on any module value
+(callee functions, globals and constants included).  A :class:`MergePlan`
+captures the complete outcome of that read-only prefix for one worklist
+entry - the candidate list the search returned, every pair that was
+evaluated, and the priced profitable merge (if any) ready to commit - so
+entries can be *planned* concurrently and *committed* serially; the commit
+builds the merged function.  A plan that is dropped (stale or conflicting)
+therefore leaves nothing behind to clean up.
 
 A plan is valid only against the module state it was computed from.  The
 committer decides validity with :class:`CommitEvents`: each committed merge
@@ -22,17 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
-from ..codegen import MergeResult
+from ..codegen import MergeLayout
 from ..profitability import MergeEvaluation
 from ..ranking import RankedCandidate
 
 
 @dataclass
 class PlanDecision:
-    """The profitable merge a plan wants to commit."""
+    """The profitable merge a plan wants to commit, priced but not built."""
 
     candidate: RankedCandidate
-    result: MergeResult
+    layout: MergeLayout
     evaluation: MergeEvaluation
 
 
@@ -67,12 +72,6 @@ class MergePlan:
             if name1 in dirty or name2 in dirty:
                 return True
         return False
-
-    def discard(self) -> None:
-        """Drop the planned merged function's body (uses into the module)."""
-        if self.decision is not None:
-            self.decision.result.merged.drop_body()
-            self.decision = None
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ in place before the walk continues, the sequence of committed merges is
 (property-tested in ``tests/core/test_scheduler.py``).
 
 Whole *plans* can never cross a process boundary - they carry live
-references into the module's IR objects (the merged function's instructions
-point at the very ``Function``/``Value`` objects the committer must mutate),
-and pickling one would sever that identity.  The alignment DP inside a plan
-is different: over canonical equivalence-key bytes it is pure data (see
+references into the module's IR objects (a priced merge points at the very
+original functions and aligned instructions the committer builds the
+merged function from), and pickling one would sever that identity.  The
+alignment DP inside a plan is different: over canonical equivalence-key
+bytes it is pure data (see
 :mod:`repro.core.engine.offload`).  The ``"process"`` executor therefore
 splits the batch into a *hydrate -> align -> finish-plan* pipeline: the
 scheduler first asks the engine which alignment shapes the batch will need
@@ -470,12 +471,10 @@ class MergeScheduler:
                     stats["stale_entries"] += 1
                     if plan is not None:
                         stats["wasted_evaluations"] += plan.candidates_evaluated
-                        plan.discard()
                     continue
                 if commits_in_batch and not self._plan_valid(plan, dirty):
                     stats["conflicts"] += 1
                     stats["wasted_evaluations"] += plan.candidates_evaluated
-                    plan.discard()
                     plan = self._plan_one(name)  # requeue: replan against
                     stats["replans"] += 1        # the current module state
                     if plan is None:

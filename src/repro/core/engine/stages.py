@@ -25,11 +25,11 @@ from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
                          needleman_wunsch_banded_keyed, needleman_wunsch_keyed)
 from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
                       native_fallback, require_native)
-from ..codegen import MergeOptions, MergeResult, merge_functions
+from ..codegen import MergeLayout, MergeOptions, MergeResult, price_merge
 from ..equivalence import EquivalenceKeyInterner, entries_equivalent
 from ..fingerprint import Fingerprint
 from ..linearizer import LinearizedFunction, linearize_with_keys
-from ..profitability import MergeEvaluation, estimate_profit
+from ..profitability import MergeEvaluation, estimate_layout_profit
 from ..ranking import RankedCandidate
 from ..thunks import AppliedMerge, apply_merge
 from ...resilience import InjectedFault, degradation_event, fault_triggered
@@ -460,23 +460,33 @@ class AlignmentStage(Stage):
 
 
 class CodegenStage(Stage):
-    """Generates the merged function for one aligned pair."""
+    """Prices the merged function of one aligned pair; builds it only for
+    the merge that commits.
+
+    :meth:`generate` runs the code generator's decisions against the cost
+    sink (no IR is created, so planning leaves the module untouched);
+    :meth:`materialise` runs the same decisions against the IR sink.
+    """
 
     name = "codegen"
     legacy_stage = "codegen"
 
-    def __init__(self, options: MergeOptions):
+    def __init__(self, options: MergeOptions, target):
         super().__init__()
         self.options = options
+        self.target = target
 
     def generate(self, function1: Function, function2: Function,
-                 alignment: AlignmentResult) -> MergeResult:
-        return self.timed(merge_functions, function1, function2,
+                 alignment: AlignmentResult) -> MergeLayout:
+        return self.timed(price_merge, function1, function2, self.target,
                           self.options, alignment)
+
+    def materialise(self, layout: MergeLayout) -> MergeResult:
+        return self.timed(layout.materialise)
 
 
 class ProfitabilityStage(Stage):
-    """Evaluates the code-size profit of a merge result."""
+    """Evaluates the code-size profit of a priced merge."""
 
     name = "profitability"
     # the original pass accounted profitability inside the codegen bucket
@@ -487,9 +497,9 @@ class ProfitabilityStage(Stage):
         self.target = target
         self.allow_deletion = allow_deletion
 
-    def evaluate(self, result: MergeResult,
+    def evaluate(self, layout: MergeLayout,
                  call_graph: CallGraph) -> MergeEvaluation:
-        evaluation = self.timed(estimate_profit, result, self.target,
+        evaluation = self.timed(estimate_layout_profit, layout, self.target,
                                 call_graph, self.allow_deletion)
         self.stats.bump("profitable" if evaluation.profitable else "unprofitable")
         return evaluation

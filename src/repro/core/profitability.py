@@ -1,7 +1,8 @@
 """Profitability cost model (Section IV-A of the paper).
 
-Given a candidate merged function, we estimate the code-size benefit of
-replacing the original pair with it:
+Given a candidate merged function - built, or only priced by the code
+generator's cost walk - we estimate the code-size benefit of replacing the
+original pair with it:
 
     delta({f1, f2}, f12) = (c(f1) + c(f2)) - (c(f12) + epsilon)
 
@@ -19,7 +20,7 @@ from typing import Optional
 from ..ir.callgraph import CallGraph
 from ..ir.function import Function
 from ..targets.cost_model import TargetCostModel
-from .codegen import MergeResult
+from .codegen import MergeLayout, MergeResult
 
 
 @dataclass
@@ -55,14 +56,14 @@ class MergeEvaluation:
                 f"{self.size_merged}+{self.epsilon})>")
 
 
-def _replacement_cost(original: Function, result: MergeResult,
+def _replacement_cost(original: Function, merged_args: int,
                       target: TargetCostModel, call_graph: Optional[CallGraph],
                       allow_deletion: bool) -> tuple:
-    """Extra cost (epsilon contribution) of retargeting one original.
+    """Extra cost (epsilon contribution) of retargeting one original to a
+    merged function with ``merged_args`` parameters.
 
     Returns ``(cost, deletable)``.
     """
-    merged_args = len(result.merged.arguments)
     original_args = len(original.arguments)
     per_call_growth = max(0, target.call_site_cost(merged_args)
                           - target.call_site_cost(original_args))
@@ -85,16 +86,35 @@ def _replacement_cost(original: Function, result: MergeResult,
     return thunk_cost, False
 
 
+def _evaluate(function1: Function, function2: Function, size_merged: int,
+              merged_args: int, target: TargetCostModel,
+              call_graph: Optional[CallGraph],
+              allow_deletion: bool) -> MergeEvaluation:
+    size1 = target.function_cost(function1)
+    size2 = target.function_cost(function2)
+    extra1, deletable1 = _replacement_cost(function1, merged_args, target,
+                                           call_graph, allow_deletion)
+    extra2, deletable2 = _replacement_cost(function2, merged_args, target,
+                                           call_graph, allow_deletion)
+    return MergeEvaluation(size1, size2, size_merged, extra1, extra2,
+                           deletable1, deletable2)
+
+
 def estimate_profit(result: MergeResult, target: TargetCostModel,
                     call_graph: Optional[CallGraph] = None,
                     allow_deletion: bool = True) -> MergeEvaluation:
     """Evaluate the profitability of a generated merge candidate."""
-    size1 = target.function_cost(result.function1)
-    size2 = target.function_cost(result.function2)
-    size_merged = target.function_cost(result.merged)
-    extra1, deletable1 = _replacement_cost(result.function1, result, target,
-                                           call_graph, allow_deletion)
-    extra2, deletable2 = _replacement_cost(result.function2, result, target,
-                                           call_graph, allow_deletion)
-    return MergeEvaluation(size1, size2, size_merged, extra1, extra2,
-                           deletable1, deletable2)
+    return _evaluate(result.function1, result.function2,
+                     target.function_cost(result.merged),
+                     len(result.merged.arguments), target, call_graph,
+                     allow_deletion)
+
+
+def estimate_layout_profit(layout: MergeLayout, target: TargetCostModel,
+                           call_graph: Optional[CallGraph] = None,
+                           allow_deletion: bool = True) -> MergeEvaluation:
+    """Evaluate the profitability of a priced merge candidate
+    (:func:`~repro.core.codegen.price_merge` for the same ``target``);
+    equal to :func:`estimate_profit` of the merge it materialises."""
+    return _evaluate(layout.function1, layout.function2, layout.size,
+                     layout.arguments, target, call_graph, allow_deletion)

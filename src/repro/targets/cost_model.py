@@ -53,23 +53,34 @@ class TargetCostModel:
     #: Number of parameters passed in registers "for free".
     free_argument_registers: int = 4
 
-    def instruction_cost(self, inst: Instruction) -> int:
-        """Code-size cost of one IR instruction when lowered."""
-        cost = self.opcode_costs.get(inst.opcode, self.default_cost)
-        if inst.opcode in ("call", "invoke"):
+    def opcode_cost(self, opcode: str, n_operands: int) -> int:
+        """Code-size cost of an instruction with this opcode and operand
+        count when lowered (the only inputs the models look at)."""
+        cost = self.opcode_costs.get(opcode, self.default_cost)
+        if opcode in ("call", "invoke"):
             # argument marshalling beyond the register budget
-            arg_count = len(inst.operands) - 1
-            if inst.opcode == "invoke":
+            arg_count = n_operands - 1
+            if opcode == "invoke":
                 arg_count -= 2
             extra = max(0, arg_count - self.free_argument_registers)
             cost += extra * self.per_argument_overhead
-        if inst.opcode == "switch":
-            cases = max(0, (len(inst.operands) - 2) // 2)
+        elif opcode == "switch":
+            cases = max(0, (n_operands - 2) // 2)
             cost += cases * 2
-        if inst.opcode == "phi":
+        elif opcode == "phi":
             # phi nodes usually lower to register copies on edges
-            cost += max(0, len(inst.operands) // 2 - 1)
+            cost += max(0, n_operands // 2 - 1)
         return cost
+
+    def instruction_cost(self, inst: Instruction) -> int:
+        """Code-size cost of one IR instruction when lowered."""
+        return self.opcode_cost(inst.opcode, len(inst.operands))
+
+    def arguments_cost(self, n_arguments: int) -> int:
+        """Fixed overhead of a defined function with ``n_arguments``
+        formal parameters (prologue plus stack-passed parameters)."""
+        args = max(0, n_arguments - self.free_argument_registers)
+        return self.function_overhead + args * self.per_argument_overhead
 
     def block_cost(self, block: BasicBlock) -> int:
         return sum(self.instruction_cost(inst) for inst in block.instructions)
@@ -80,8 +91,7 @@ class TargetCostModel:
         if function.is_declaration:
             return 0
         body = sum(self.block_cost(block) for block in function.blocks)
-        args = max(0, len(function.arguments) - self.free_argument_registers)
-        return body + self.function_overhead + args * self.per_argument_overhead
+        return body + self.arguments_cost(len(function.arguments))
 
     def module_cost(self, module: Module) -> int:
         return sum(self.function_cost(f) for f in module.functions)

@@ -1,17 +1,23 @@
 """Tests for the structural (SOA / von Koch) baseline."""
 
+import hashlib
 import random
+
+import pytest
 
 from repro.baselines import (StructuralFunctionMergingPass, cfg_shape,
                              structural_alignment, structurally_similar)
 from repro.core.codegen import CodegenError
 from repro.ir import Module, verify_or_raise
+from repro.ir.printer import function_to_str
+from repro.targets import get_target
 from repro.ir import types as ty
 from repro.workloads import (add_extra_instructions, add_guard_block, clone_function,
                              mutate_constants, mutate_opcodes, libquantum_module,
                              sphinx_module)
 
-from tests.helpers import make_binary_chain_function, make_caller, run_function
+from tests.helpers import (make_binary_chain_function, make_caller,
+                           make_structural_module, run_function)
 
 
 def _structural_pair(module, rng=None):
@@ -124,3 +130,51 @@ class TestStructuralPass:
         report = StructuralFunctionMergingPass().run(module)
         assert report.candidates_evaluated >= 1
         assert report.elapsed >= 0.0
+
+
+#: (seed, target) -> (candidates evaluated, digest of the printed module
+#: after merging, (function1, function2, merged name, delta) per merge) as
+#: recorded when every pair was built with ``merge_functions`` and costed
+#: with ``estimate_profit``.  Pricing first and building only the merges
+#: that commit must reproduce them exactly.
+RECORDED = {
+    (0, "x86-64"): (7, "ca6fb780ab1f", [
+        ("fam0", "fam0_struct0", 134), ("fam1", "fam1_ident0", 182),
+        ("fam2", "fam2_struct0", 113), ("fam3", "fam3_ident0", 211),
+        ("fam4", "fam4_struct0", 114),
+        ("__merged_fam1_fam1_ident0", "fam1_struct0", 135),
+        ("__merged_fam3_fam3_ident0", "fam3_struct0", 130)]),
+    (0, "arm-thumb"): (7, "ca6fb780ab1f", [
+        ("fam0", "fam0_struct0", 116), ("fam1", "fam1_ident0", 160),
+        ("fam2", "fam2_struct0", 86), ("fam3", "fam3_ident0", 182),
+        ("fam4", "fam4_struct0", 98),
+        ("__merged_fam1_fam1_ident0", "fam1_struct0", 114),
+        ("__merged_fam3_fam3_ident0", "fam3_struct0", 106)]),
+    (2, "x86-64"): (8, "8adc6c923604", [
+        ("fam0", "fam0_struct0", 54), ("fam1", "fam1_ident0", 191),
+        ("fam2", "fam2_struct0", 109), ("fam3", "fam3_ident0", 110),
+        ("fam4", "fam4_struct0", 124),
+        ("__merged_fam1_fam1_ident0", "fam1_struct0", 146),
+        ("__merged_fam3_fam3_ident0", "fam3_struct0", 110),
+        ("__merged___merged_fam3_fam3_ident0_fam3_struct0", "fam3_struct1", 101)]),
+    (2, "arm-thumb"): (8, "8adc6c923604", [
+        ("fam0", "fam0_struct0", 48), ("fam1", "fam1_ident0", 172),
+        ("fam2", "fam2_struct0", 92), ("fam3", "fam3_ident0", 96),
+        ("fam4", "fam4_struct0", 108),
+        ("__merged_fam1_fam1_ident0", "fam1_struct0", 116),
+        ("__merged_fam3_fam3_ident0", "fam3_struct0", 96),
+        ("__merged___merged_fam3_fam3_ident0_fam3_struct0", "fam3_struct1", 88)]),
+}
+
+
+@pytest.mark.parametrize("seed,target", sorted(RECORDED))
+def test_records_unchanged_by_price_then_materialise(seed, target):
+    module = make_structural_module(seed)
+    report = StructuralFunctionMergingPass(target=get_target(target)).run(module)
+    evaluated, digest, merges = RECORDED[(seed, target)]
+    assert report.candidates_evaluated == evaluated
+    assert [(r.function1, r.function2, r.delta) for r in report.records] == merges
+    assert all(r.merged_name == f"__merged_{r.function1}_{r.function2}"
+               for r in report.records)
+    printed = "".join(function_to_str(f) for f in module.functions if f.blocks)
+    assert hashlib.sha256(printed.encode()).hexdigest()[:12] == digest

@@ -143,6 +143,36 @@ class TestMergedStructure:
         assert f1.arguments[0] in args1
         assert f2.arguments[0] in args2
 
+    def test_call_arguments_mix_unbound_and_reused_parameters(self):
+        module = Module()
+        f1 = module.create_function(
+            "f1", ty.function_type(ty.I32, [ty.I32, ty.DOUBLE]),
+            arg_names=["a", "x"])
+        builder = IRBuilder(f1.append_block("entry"))
+        builder.ret(builder.add(f1.arguments[0], vals.const_int(1)))
+        f2 = module.create_function(
+            "f2", ty.function_type(ty.I32, [ty.I64, ty.I32]),
+            arg_names=["c", "b"])
+        builder = IRBuilder(f2.append_block("entry"))
+        builder.ret(builder.add(f2.arguments[1], vals.const_int(2)))
+        result = merge_functions(f1, f2)
+        # func_id, a (reused by b), x (f1 only), c (f2 only)
+        merged = result.merged.arguments
+        assert [a.type for a in merged] == [ty.I1, ty.I32, ty.DOUBLE, ty.I64]
+        assert result.arg_maps[1][f2.arguments[1]] is merged[1]
+        a, x = vals.const_int(1), vals.const_float(2.0)
+        c, b = vals.const_int(3, 64), vals.const_int(4)
+        for _ in range(2):  # the inverted argument maps are reused
+            first = result.call_arguments(0, [a, x])
+            second = result.call_arguments(1, [c, b])
+            assert first[0] == vals.const_bool(True)
+            assert first[1:3] == [a, x]
+            assert isinstance(first[3], vals.UndefValue) and first[3].type == ty.I64
+            assert second[0] == vals.const_bool(False)
+            assert second[1] is b and second[3] is c
+            assert isinstance(second[2], vals.UndefValue)
+            assert second[2].type == ty.DOUBLE
+
     def test_side_of_rejects_foreign_function(self):
         module, f1, f2 = _pair()
         other = make_binary_chain_function(module, "other", ["mul"])

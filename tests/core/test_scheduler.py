@@ -4,16 +4,18 @@ call-graph maintenance verified against from-scratch rebuilds after every
 commit, oracle profit-bound pruning, and the stale/conflict accounting."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine, numpy_available
+from repro.core import (FunctionMergingPass, MergeEngine, MergeReport,
+                        numpy_available)
 from repro.core.engine import make_executor
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
-from repro.workloads import FamilySpec, FunctionSpec, make_family
+from repro.workloads import FamilySpec, FunctionSpec, add_call_sites, make_family
 
 
 def build_module(seed=7, families=4, clones=2):
@@ -311,6 +313,49 @@ class TestExecutors:
             make_executor("gpu", 2)
         with pytest.raises(ValueError):
             MergeEngine(executor="gpu", jobs=2).run(Module("empty"))
+
+
+def _use_lists(module):
+    """Every module value with its ordered users: functions (callees),
+    globals, arguments, blocks, instructions and operand constants."""
+    values = list(module.functions) + list(module.globals)
+    for function in module.defined_functions():
+        values.extend(function.arguments)
+        for block in function.blocks:
+            values.append(block)
+            for inst in block.instructions:
+                values.append(inst)
+                values.extend(inst.operands)
+    # the value objects stay referenced, so their ids cannot be recycled
+    return values, {id(v): [id(u) for u in v.users] for v in values}
+
+
+class TestReadOnlyPlanning:
+    """Planning prices candidates without building them: no user is added
+    to or removed from any module value, under any executor."""
+
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    def test_planning_leaves_use_lists_untouched(self, kind):
+        module = build_module(seed=11)
+        add_call_sites(module, list(module.defined_functions()),
+                       random.Random(11))
+        engine = MergeEngine(exploration_threshold=5, executor=kind, jobs=2)
+        engine.preprocess.run(module)  # phi demotion mutates; planning must not
+        eligible = [f for f in module.defined_functions() if engine._eligible(f)]
+        engine.fingerprint.add_functions(eligible)
+        names = sorted(f.name for f in eligible)
+        engine.attach_run_state(module, CallGraph(module), set(names),
+                                deque(names), MergeReport())
+        kept, before = _use_lists(module)
+        scheduler = engine.make_scheduler()
+        try:
+            plans = scheduler.executor.map(engine.plan_entry, names)
+        finally:
+            scheduler.executor.close()
+            engine.detach_run_state()
+        assert sum(p.decision is not None for p in plans) >= 4
+        assert _use_lists(module)[1] == before
+        assert len(kept) == len(_use_lists(module)[0])
 
 
 class TestPlanningErrors:

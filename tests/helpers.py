@@ -3,6 +3,7 @@ comparison utilities built on the interpreter."""
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import IRBuilder, Module, verify_or_raise
@@ -10,6 +11,7 @@ from repro.ir import types as ty
 from repro.ir import values as vals
 from repro.ir.function import Function
 from repro.interp import Interpreter, standard_externals
+from repro.workloads import FamilySpec, FunctionSpec, add_call_sites, make_family
 
 
 def make_binary_chain_function(module: Module, name: str, opcodes: Sequence[str],
@@ -128,3 +130,25 @@ def assert_semantically_equivalent(module_before: Module, module_after: Module,
         candidate = run_function(module_after, entry, args, externals)
         assert results_match(reference, candidate), (
             f"{entry}{tuple(args)}: expected {reference!r}, got {candidate!r}")
+
+
+def make_structural_module(seed: int) -> Module:
+    """Five generated families with identical and structural siblings plus
+    a driver calling them all: SOA-mergeable pairs whose generation is
+    seeded only by ``seed`` (the suite generators also hash the benchmark
+    name, so they change with ``PYTHONHASHSEED``)."""
+    rng = random.Random(seed)
+    module = Module(f"structural{seed}")
+    generated: List[Function] = []
+    for index in range(5):
+        spec = FunctionSpec(name=f"fam{index}", num_blocks=rng.randrange(2, 5),
+                            instructions_per_block=rng.randrange(3, 8),
+                            num_int_params=rng.randrange(1, 4),
+                            num_float_params=rng.randrange(0, 2),
+                            num_pointer_params=rng.randrange(0, 2),
+                            returns_void=index == 4,
+                            seed=rng.randrange(1 << 30))
+        family = FamilySpec(identical=index % 2, structural=1 + index % 2)
+        generated.extend(make_family(module, spec, family, rng))
+    add_call_sites(module, generated, rng)
+    return module
