@@ -3,7 +3,7 @@
 Part one (``BENCH_engine.json``) runs the same deterministic module
 population through the seed-equivalent configuration (linear candidate scan
 + predicate-based alignment) and the engine defaults (indexed candidate
-search + integer-key alignment kernel, plus the banded variant), checks that
+search + integer-key alignment kernel), checks that
 every configuration reaches identical merge decisions, and emits the
 per-stage timings so future PRs have a perf trajectory.
 
@@ -15,13 +15,13 @@ conflict/requeue/stale rates.  All configurations must reach bit-identical
 merge decisions.
 
 Part three (``BENCH_alignment.json``) compares the alignment kernels -
-predicate-based python, integer-keyed, keyed banded, and (when the ``fast``
-extra is installed) the vectorized NumPy backends - across three workload
-sizes (small / medium / large function bodies), reporting per-kernel
+predicate-based python, integer-keyed, and (when their backends are present)
+the vectorized NumPy and native C kernels - across three workload sizes
+(small / medium / large function bodies), reporting per-kernel
 alignment-stage seconds, the requested DP area (n*m per aligned pair -
-kernel-independent by construction; banded kernels and cache hits compute
-only a fraction of it) and the content-addressed alignment cache's hit
-rate.  Decisions must again be bit-identical.
+kernel-independent by construction; cache hits compute none of it) and the
+content-addressed alignment cache's hit rate.  Decisions must again be
+bit-identical.
 
 The same file also carries a ``persistence`` section: the cold-vs-warm
 comparison of the persisted alignment cache (``alignment_cache_path=`` /
@@ -101,8 +101,6 @@ CONFIGS = {
                  alignment_kernel="needleman-wunsch"),
     "engine": dict(searcher="indexed", keyed_alignment=True,
                    alignment_kernel="needleman-wunsch"),
-    "engine-banded": dict(searcher="indexed", keyed_alignment=True,
-                          alignment_kernel="nw-banded"),
 }
 
 
@@ -346,23 +344,18 @@ def test_scheduler_bench():
 # Alignment-kernel comparison (BENCH_alignment.json)
 # ---------------------------------------------------------------------------
 
-#: Kernel configurations: predicate-based python (the seed aligner), the
-#: integer-keyed kernels, and - when the ``fast`` extra is installed - the
-#: vectorized NumPy backends.  All must reach identical merge decisions.
+#: Kernel configurations: predicate-based python (the seed aligner), then
+#: one keyed kernel per available tier (pure, NumPy, native C).  All must
+#: reach identical merge decisions.
 ALIGN_CONFIGS = {
     "python": dict(keyed_alignment=False,
                    alignment_kernel="needleman-wunsch"),
     "keyed": dict(alignment_kernel="needleman-wunsch"),
-    "keyed-banded": dict(alignment_kernel="nw-banded"),
 }
 if numpy_available():
     ALIGN_CONFIGS["numpy"] = dict(alignment_kernel="nw-numpy")
-    ALIGN_CONFIGS["numpy-banded"] = dict(alignment_kernel="nw-banded-numpy")
-    ALIGN_CONFIGS["numpy-wavefront"] = dict(
-        alignment_kernel="nw-wavefront-numpy")
 if native_available():
     ALIGN_CONFIGS["native"] = dict(alignment_kernel="nw-native")
-    ALIGN_CONFIGS["native-banded"] = dict(alignment_kernel="nw-banded-native")
 
 #: Workload sizes: function-body shapes from small (the engine-bench shape)
 #: to large (hundreds of linearized entries, where the DP dominates).

@@ -94,7 +94,6 @@ class MergeEngine:
                  adaptive_batch: Optional[bool] = None,
                  incremental_callgraph: bool = True,
                  oracle_prune: bool = True,
-                 incremental_fingerprints: bool = True,
                  verify_fingerprints: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
                  sanitizer: Optional["Sanitizer"] = None,
@@ -125,8 +124,9 @@ class MergeEngine:
             keyed_alignment: use the integer-key alignment kernels (same
                 results as the predicate-based algorithms, much faster).
             alignment_kernel: alignment algorithm override - any
-                ``ALGORITHMS`` name (``"nw-numpy"`` / ``"nw-banded-numpy"``
-                select the vectorized NumPy backend) or ``"auto"``.  When
+                ``ALGORITHMS`` name (``"nw-numpy"`` selects the vectorized
+                NumPy backend, ``"nw-native"`` the C extension) or
+                ``"auto"`` (the fastest available).  When
                 None, the ``REPRO_ALIGN_KERNEL`` environment variable is
                 consulted, then ``options.alignment_algorithm``.  Every
                 kernel produces bit-identical alignments and therefore
@@ -199,13 +199,11 @@ class MergeEngine:
                 upper bound (see :class:`ProfitBoundIndex`) provably cannot
                 beat the best profitable merge found so far.  Decisions are
                 identical with pruning on or off.
-            incremental_fingerprints: compute each merged function's
-                fingerprint from the alignment columns plus the codegen
-                delta (:meth:`Fingerprint.of_merged`) instead of rescanning
-                the new body.  The result is element-wise identical either
-                way; ``False`` restores the rescan, kept for benchmarking.
-            verify_fingerprints: cross-check every incremental fingerprint
-                against a from-scratch ``Fingerprint.of`` after each commit
+            verify_fingerprints: cross-check every merged function's
+                fingerprint - computed from the alignment columns plus the
+                codegen delta (:meth:`Fingerprint.of_merged`) instead of
+                rescanning the new body - against a from-scratch
+                ``Fingerprint.of`` after each commit; a divergence raises
                 (defaults to the ``REPRO_VERIFY_FINGERPRINTS`` environment
                 variable; the test suite turns it on).
             sanitize: run the static-analysis sanitizer (verifier v2 + the
@@ -258,7 +256,6 @@ class MergeEngine:
         self.adaptive_batch = bool(adaptive_batch)
         self.incremental_callgraph = incremental_callgraph
         self.oracle_prune = oracle_prune
-        self.incremental_fingerprints = incremental_fingerprints
         if verify_fingerprints is None:
             value = os.environ.get("REPRO_VERIFY_FINGERPRINTS", "")
             verify_fingerprints = value.strip().lower() not in (
@@ -434,14 +431,14 @@ class MergeEngine:
     def _merged_fingerprint(self, result, applied, fp_merged) -> Fingerprint:
         """Fingerprint for the just-committed merged function.
 
-        Incremental (the pre-commit :meth:`Fingerprint.of_merged` result)
-        when enabled, falling back to a body rescan when the commit rewrote
-        the merged body itself (it called one of its own originals, so
+        Incremental (the pre-commit :meth:`Fingerprint.of_merged` result),
+        falling back to a body rescan when the commit rewrote the merged
+        body itself (it called one of its own originals, so
         ``apply_merge`` widened call sites inside it and the alignment no
         longer describes the body).
         """
         merged = result.merged
-        if fp_merged is None or merged.name in applied.rewritten_callers:
+        if merged.name in applied.rewritten_callers:
             self.fingerprint.stats.bump("rescans")
             return Fingerprint.of(merged)
         fp = fp_merged
@@ -631,12 +628,11 @@ class MergeEngine:
         # even drops its operands), while of_merged composes the originals'
         # live fingerprints with the alignment - both describing exactly
         # the bodies the plan was computed against
-        fp_merged = None
-        if self.incremental_fingerprints:
-            fp1 = self.fingerprint.live_fingerprint(result.function1)
-            fp2 = self.fingerprint.live_fingerprint(result.function2)
-            fp_merged = Fingerprint.of_merged(result.alignment, fp1, fp2,
-                                              result.fingerprint_delta)
+        fp_merged = Fingerprint.of_merged(
+            result.alignment,
+            self.fingerprint.live_fingerprint(result.function1),
+            self.fingerprint.live_fingerprint(result.function2),
+            result.fingerprint_delta)
 
         applied = self.commit.apply(module, result, call_graph)
 

@@ -63,20 +63,17 @@ from typing import List, Optional, Sequence, Tuple
 
 from ...resilience import (ResilienceError, RetryPolicy, degradation_event,
                            fault_triggered)
-from ..align_np import (numpy_available, require_numpy,
-                        solve_keyed_alignment_numpy)
-from ..alignment import ScoringScheme, solve_keyed_alignment
+from ..alignment import ScoringScheme
 from ..equivalence import decode_canonical_keys
-from ..native import (native_available, require_native,
-                      solve_keyed_alignment_native)
+from ..tiers import TIERS, best_tier
 from .scheduler import PlanExecutor
 
 #: Worker kernel modes accepted by :class:`ProcessExecutor` /
-#: :func:`_init_worker`.  ``"auto"`` is the production setting (native when
-#: the worker can load the C extension, NumPy when it can import it);
-#: ``"native"``/``"numpy"``/``"pure"`` pin one tier, used by tests and
-#: benchmarks to exercise a specific leg deterministically.
-WORKER_KERNELS = ("auto", "native", "numpy", "pure")
+#: :func:`_init_worker`.  ``"auto"`` is the production setting (the fastest
+#: tier the worker can run); each tier's ``worker`` name (``"native"``,
+#: ``"numpy"``, ``"pure"``) pins that tier, used by tests and benchmarks to
+#: exercise a specific leg deterministically.
+WORKER_KERNELS = ("auto",) + tuple(tier.worker for tier in TIERS)
 
 
 @dataclass(frozen=True)
@@ -138,24 +135,18 @@ _worker_solver = None
 
 
 def _resolve_solver(kernel: str = "auto"):
-    """Pick this process's task solver: native > NumPy > pure for
+    """Pick this process's task solver: the fastest available tier for
     ``"auto"``, or exactly the pinned tier (raising when a pinned tier is
     unavailable in this process - the failure surfaces as a
     :class:`TaskFailure` on the dispatching side)."""
     if kernel not in WORKER_KERNELS:
         raise ValueError(f"unknown offload worker kernel {kernel!r}; "
                          f"available: {WORKER_KERNELS}")
-    if kernel == "native" or (kernel == "auto" and native_available()):
-        if kernel == "native":
-            require_native("nw-native")  # pinned: fail loudly, not silently
-        return lambda k1, k2, scoring: solve_keyed_alignment_native(
-            k1, k2, scoring)
-    if kernel == "numpy" or (kernel == "auto" and numpy_available()):
-        if kernel == "numpy":
-            require_numpy("nw-numpy")
-        return lambda k1, k2, scoring: solve_keyed_alignment_numpy(
-            k1, k2, scoring)
-    return lambda k1, k2, scoring: solve_keyed_alignment(k1, k2, scoring)
+    if kernel == "auto":
+        return best_tier().solve
+    tier = next(tier for tier in TIERS if tier.worker == kernel)
+    tier.require(tier.kernel)  # pinned: fail loudly, not silently
+    return tier.solve
 
 
 def _init_worker(kernel: str) -> None:

@@ -19,12 +19,8 @@ from ...ir.callgraph import CallGraph
 from ...ir.function import Function
 from ...ir.module import Module
 from ...passes.reg2mem import demote_phis
-from ..align_np import (KEYED_NUMPY_KERNELS, NUMPY_KERNELS,
-                        PURE_PYTHON_FALLBACKS, numpy_available, require_numpy)
 from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
-                         needleman_wunsch_banded_keyed, needleman_wunsch_keyed)
-from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
-                      native_fallback, require_native)
+                         needleman_wunsch_keyed)
 from ..codegen import MergeLayout, MergeOptions, MergeResult, price_merge
 from ..equivalence import EquivalenceKeyInterner, entries_equivalent
 from ..fingerprint import Fingerprint
@@ -32,6 +28,7 @@ from ..linearizer import LinearizedFunction, linearize_with_keys
 from ..profitability import MergeEvaluation, estimate_layout_profit
 from ..ranking import RankedCandidate
 from ..thunks import AppliedMerge, apply_merge
+from ..tiers import PURE_TIER, TIERS, best_tier, next_tier, tier_of
 from ...resilience import InjectedFault, degradation_event, fault_triggered
 from .align_cache import AlignmentCache, ops_of, rehydrate
 from .base import Stage
@@ -49,14 +46,15 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
     Priority: the explicit ``kernel`` argument, then the
     ``REPRO_ALIGN_KERNEL`` environment variable, then ``algorithm`` (the
     historical ``MergeOptions.alignment_algorithm``).  ``"auto"`` picks the
-    fastest available tier: the native C extension, then the NumPy backend,
-    then the keyed pure-Python kernel - all bit-identical.
+    fastest available tier of :data:`~repro.core.tiers.TIERS` above the
+    pure one (native C, then NumPy), else ``algorithm`` - all
+    bit-identical.
 
-    Requesting a NumPy or native kernel explicitly (argument or options)
-    when its backend is unavailable raises an ImportError naming what to
-    install; requesting it through the *environment* downgrades to the best
-    still-available kernel of identical behaviour with a warning instead,
-    so a globally exported knob never breaks dependency-free checkouts.
+    Requesting a tier kernel explicitly (argument or options) when its
+    backend is unavailable raises an ImportError naming what to install;
+    requesting it through the *environment* downgrades to the next
+    available tier with a warning instead, so a globally exported knob
+    never breaks dependency-free checkouts.
     """
     explicit = kernel is not None
     if kernel is None:
@@ -65,31 +63,22 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
             kernel = algorithm
             explicit = True
     if kernel == "auto":
-        if native_available():
-            return "nw-native"
-        return "nw-numpy" if numpy_available() else algorithm
+        tier = best_tier()
+        return algorithm if tier is PURE_TIER else tier.kernel
     if kernel not in ALGORITHMS:
         raise ValueError(f"unknown alignment kernel {kernel!r}; "
                          f"available: {sorted(set(ALGORITHMS))} (or 'auto')")
-    if kernel in NATIVE_KERNELS and not native_available():
-        if explicit:
-            require_native(kernel)  # raises, naming the build requirements
-        fallback = native_fallback(kernel)
-        warnings.warn(
-            f"{ALIGN_KERNEL_ENV}={kernel} requested but the _nw_native C "
-            f"extension is not available; falling back to the {fallback!r} "
-            f"kernel (identical alignments)", RuntimeWarning, stacklevel=2)
-        kernel = fallback  # may itself be a NumPy kernel: checked below
-    if kernel in NUMPY_KERNELS and not numpy_available():
-        if explicit:
-            require_numpy(kernel)  # raises, naming the 'fast' extra
-        fallback = PURE_PYTHON_FALLBACKS[kernel]
-        warnings.warn(
-            f"{ALIGN_KERNEL_ENV}={kernel} requested but NumPy is not "
-            f"installed; falling back to the pure-Python {fallback!r} "
-            f"kernel (identical alignments)", RuntimeWarning, stacklevel=2)
-        return fallback
-    return kernel
+    tier = tier_of(kernel)
+    if tier is None or tier.available():
+        return kernel
+    if explicit:
+        tier.require(kernel)  # raises, naming what to install
+    fallback = next_tier(kernel).kernel
+    warnings.warn(
+        f"{ALIGN_KERNEL_ENV}={kernel} requested but {tier.backend} is not "
+        f"available; falling back to the {fallback!r} kernel (identical "
+        f"alignments)", RuntimeWarning, stacklevel=2)
+    return fallback
 
 
 class PreprocessStage(Stage):
@@ -327,9 +316,10 @@ class AlignmentStage(Stage):
     to its fast integer-key kernel when one exists; results are identical to
     the predicate-based algorithms, only cheaper per cell.  ``kernel``
     overrides the algorithm name (falling back to the ``REPRO_ALIGN_KERNEL``
-    environment variable, then to ``algorithm``); the ``*-numpy`` kernels
-    run the vectorized backend of :mod:`repro.core.align_np`, the
-    ``*-native`` kernels the C extension behind :mod:`repro.core.native`.
+    environment variable, then to ``algorithm``); ``nw-numpy`` runs the
+    vectorized backend of :mod:`repro.core.align_np`, ``nw-native`` the C
+    extension behind :mod:`repro.core.native` (the tiers of
+    :mod:`repro.core.tiers`).
 
     When a :class:`~repro.core.engine.align_cache.AlignmentCache` is
     attached, keyed alignments are memoised by linearization content: a
@@ -343,15 +333,10 @@ class AlignmentStage(Stage):
     name = "align"
     legacy_stage = "alignment"
 
-    #: Keyed kernels by algorithm name (all produce results identical to the
-    #: predicate-based algorithm of the same name).
-    KEYED_KERNELS = {
-        "needleman-wunsch": needleman_wunsch_keyed,
-        "nw": needleman_wunsch_keyed,
-        "nw-banded": needleman_wunsch_banded_keyed,
-    }
-    KEYED_KERNELS.update(KEYED_NUMPY_KERNELS)
-    KEYED_KERNELS.update(KEYED_NATIVE_KERNELS)
+    #: Keyed kernel per algorithm name: one per tier plus the ``nw`` alias
+    #: (all produce results identical to the predicate-based algorithm).
+    KEYED_KERNELS = {tier.kernel: tier.keyed for tier in TIERS}
+    KEYED_KERNELS["nw"] = needleman_wunsch_keyed
 
     def __init__(self, scoring: ScoringScheme = ScoringScheme(),
                  algorithm: str = "needleman-wunsch", keyed: bool = True,
@@ -364,9 +349,9 @@ class AlignmentStage(Stage):
         self.cache = cache
         self._scoring_key = (scoring.match, scoring.mismatch, scoring.gap)
         #: Kernel-ladder transitions (``degradation_event`` dicts): a keyed
-        #: kernel that raises mid-pair downgrades native -> numpy -> pure
-        #: (sticky for the rest of the run).  Bit-identity is free - every
-        #: keyed kernel produces the same alignments by construction.
+        #: kernel that raises mid-pair downgrades to the next available
+        #: tier (sticky for the rest of the run).  Bit-identity is free -
+        #: every keyed kernel produces the same alignments by construction.
         self.degradations: List[dict] = []
 
     @property
@@ -412,20 +397,6 @@ class AlignmentStage(Stage):
         return align(lin1.entries, lin2.entries, entries_equivalent,
                      self.scoring, self.algorithm)
 
-    @staticmethod
-    def _kernel_fallback(algorithm: str) -> Optional[str]:
-        """The next rung of the kernel degradation ladder (native -> numpy
-        -> pure), or None on the pure tier.  Skips a numpy rung whose
-        backend this process cannot even import."""
-        if algorithm in NATIVE_KERNELS:
-            fallback = native_fallback(algorithm)
-            if fallback in NUMPY_KERNELS and not numpy_available():
-                fallback = PURE_PYTHON_FALLBACKS[fallback]
-            return fallback
-        if algorithm in NUMPY_KERNELS:
-            return PURE_PYTHON_FALLBACKS[algorithm]
-        return None
-
     def _solve_keyed(self, lin1: LinearizedFunction,
                      lin2: LinearizedFunction) -> AlignmentResult:
         """Run the keyed kernel, degrading down the ladder when it raises.
@@ -444,9 +415,10 @@ class AlignmentStage(Stage):
                 return kernel(lin1.entries, lin2.entries,
                               lin1.keys, lin2.keys, self.scoring)
             except Exception as error:
-                fallback = self._kernel_fallback(self.algorithm)
-                if fallback is None:
+                lower = next_tier(self.algorithm)
+                if lower is None:
                     raise
+                fallback = lower.kernel
                 warnings.warn(
                     f"alignment kernel {self.algorithm!r} failed "
                     f"({type(error).__name__}: {error}); degrading to the "

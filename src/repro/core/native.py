@@ -20,8 +20,8 @@ Availability is best-effort, never load-bearing:
 3. otherwise - no compiler, sandboxed filesystem, exotic platform - the
    native tier is simply unavailable: :func:`native_available` returns
    False, explicit requests raise an ImportError naming the build
-   requirements, and environment-variable requests downgrade to the NumPy
-   or pure-Python kernels with a warning (see
+   requirements, and environment-variable requests downgrade to the next
+   tier of :mod:`repro.core.tiers` with a warning (see
    ``repro.core.engine.stages.resolve_alignment_kernel``).
 
 Setting ``REPRO_NATIVE=0`` disables the native tier outright (CI uses this
@@ -39,35 +39,17 @@ import tempfile
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
-                        _default_equivalence, _try_banded, derive_band_margin,
-                        needleman_wunsch_banded_keyed, needleman_wunsch_keyed,
-                        result_from_ops, DEFAULT_BAND_MARGIN)
+                        _default_equivalence, needleman_wunsch,
+                        needleman_wunsch_keyed, result_from_ops,
+                        solve_keyed_alignment)
 
 T = TypeVar("T")
-
-#: Kernel names served by this module.
-NATIVE_KERNELS = ("nw-native", "nw-banded-native")
 
 #: Env knob disabling the native tier ("0"/"off"/"no"/"false", any case).
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: Env knob overriding the build-on-demand cache directory.
 NATIVE_BUILD_DIR_ENV = "REPRO_NATIVE_BUILD_DIR"
-
-#: Pure-Python algorithm each native kernel downgrades to (identical
-#: results); when NumPy is available the resolver prefers its tier instead
-#: (see :func:`native_fallback`).
-PURE_PYTHON_FALLBACKS = {
-    "nw-native": "needleman-wunsch",
-    "nw-banded-native": "nw-banded",
-}
-
-#: NumPy twin of each native kernel, preferred for the downgrade when the
-#: ``fast`` extra is installed.
-NUMPY_FALLBACKS = {
-    "nw-native": "nw-numpy",
-    "nw-banded-native": "nw-banded-numpy",
-}
 
 _native = None  # unresolved; False once loading failed (or was disabled)
 _load_error: Optional[str] = None
@@ -192,20 +174,8 @@ def require_native(kernel: str):
             f"alignment kernel {kernel!r} requires the repro._nw_native C "
             f"extension, which is not available{detail}; install with a C "
             f"compiler present (pip install repro[fast]) or select the "
-            f"{NUMPY_FALLBACKS.get(kernel, 'nw-numpy')!r} / "
-            f"{PURE_PYTHON_FALLBACKS.get(kernel, 'needleman-wunsch')!r} "
-            f"kernels instead")
+            f"'nw-numpy' / 'needleman-wunsch' kernels instead")
     return module
-
-
-def native_fallback(kernel: str) -> str:
-    """Best still-available kernel to downgrade an env-requested native
-    kernel to: the NumPy twin when the ``fast`` extra is importable, else
-    the pure-Python algorithm.  Results are bit-identical either way."""
-    from .align_np import numpy_available
-    if numpy_available():
-        return NUMPY_FALLBACKS.get(kernel, "nw-numpy")
-    return PURE_PYTHON_FALLBACKS.get(kernel, "needleman-wunsch")
 
 
 def _fits_native(n: int, m: int, scoring: ScoringScheme) -> bool:
@@ -220,7 +190,7 @@ def _as_key_list(keys: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Keyed kernels (the hot path: integer equivalence keys in, shape out)
+# Keyed kernel (the hot path: integer equivalence keys in, shape out)
 # ---------------------------------------------------------------------------
 
 def needleman_wunsch_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
@@ -247,41 +217,8 @@ def needleman_wunsch_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
     return result_from_ops(ops, score, seq1, seq2)
 
 
-def needleman_wunsch_banded_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
-                                         keys1: Sequence[int],
-                                         keys2: Sequence[int],
-                                         scoring: ScoringScheme = ScoringScheme(),
-                                         band_margin: Optional[int] = None
-                                         ) -> AlignmentResult[T]:
-    """Native banded NW over integer keys: identical results to
-    :func:`~repro.core.alignment.needleman_wunsch_banded_keyed` (and hence
-    the full DP), with the key-multiset-derived default band margin.  The
-    C side applies the same optimality certificate and returns None when it
-    fails; the fallback is then the *full* native kernel."""
-    native = require_native("nw-banded-native")
-    if band_margin is None:
-        band_margin = derive_band_margin(keys1, keys2)
-    n, m = len(seq1), len(seq2)
-    if not _fits_native(n, m, scoring):
-        return needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                             scoring, band_margin)
-    k1, k2 = _as_key_list(keys1), _as_key_list(keys2)
-    try:
-        shape = native.solve_banded_keyed(k1, k2, scoring.match,
-                                          scoring.mismatch, scoring.gap,
-                                          band_margin)
-        if shape is None:  # certificate failed: full native DP
-            shape = native.solve_keyed(k1, k2, scoring.match,
-                                       scoring.mismatch, scoring.gap)
-    except (OverflowError, TypeError):
-        return needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                             scoring, band_margin)
-    ops, score = shape
-    return result_from_ops(ops, score, seq1, seq2)
-
-
 # ---------------------------------------------------------------------------
-# Generic predicate front doors (registry entries)
+# Generic predicate front door (registry entry)
 # ---------------------------------------------------------------------------
 
 def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
@@ -297,7 +234,6 @@ def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
     native = require_native("nw-native")
     n, m = len(seq1), len(seq2)
     if not _fits_native(n, m, scoring):
-        from .alignment import needleman_wunsch
         return needleman_wunsch(seq1, seq2, equivalent, scoring)
     eq = bytearray(n * m)
     pos = 0
@@ -312,63 +248,13 @@ def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
     return result_from_ops(ops, score, seq1, seq2)
 
 
-def needleman_wunsch_banded_native(seq1: Sequence[T], seq2: Sequence[T],
-                                   equivalent: EquivalenceFn = _default_equivalence,
-                                   scoring: ScoringScheme = ScoringScheme(),
-                                   band_margin: Optional[int] = None
-                                   ) -> AlignmentResult[T]:
-    """Banded NW behind the generic predicate interface: the band attempt
-    runs in pure Python (it only touches O((n+m)*w) cells, and the
-    predicate dominates there anyway), the uncertified fallback runs the
-    native full kernel reusing every predicate answer already paid for."""
-    require_native("nw-banded-native")
-    if band_margin is None:
-        band_margin = max(DEFAULT_BAND_MARGIN, min(len(seq1), len(seq2)) // 8)
-    memo: dict = {}
-
-    def eq(i: int, j: int) -> bool:
-        key = (i, j)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = equivalent(seq1[i], seq2[j])
-        return value
-
-    result = _try_banded(seq1, seq2, eq, scoring, band_margin)
-    if result is not None:
-        return result
-    return _banded_fallback_native(seq1, seq2, equivalent, scoring, memo)
-
-
-def _banded_fallback_native(seq1, seq2, equivalent, scoring, memo):
-    """Full native DP reusing the banded attempt's memoised predicate."""
-    native = require_native("nw-native")
-    n, m = len(seq1), len(seq2)
-    if not _fits_native(n, m, scoring):
-        from .alignment import needleman_wunsch
-        return needleman_wunsch(seq1, seq2, equivalent, scoring)
-    eq_bytes = bytearray(n * m)
-    pos = 0
-    for i in range(n):
-        a = seq1[i]
-        for j in range(m):
-            value = memo.get((i, j))
-            if value is None:
-                value = equivalent(a, seq2[j])
-            if value:
-                eq_bytes[pos] = 1
-            pos += 1
-    ops, score = native.solve_matrix(bytes(eq_bytes), n, m, scoring.match,
-                                     scoring.mismatch, scoring.gap)
-    return result_from_ops(ops, score, seq1, seq2)
-
-
 # ---------------------------------------------------------------------------
-# Task-level solver (offload workers) and dispatch tables
+# Task-level solver (offload workers)
 # ---------------------------------------------------------------------------
 
 def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
-                                 scoring: ScoringScheme = ScoringScheme(),
-                                 banded: bool = False) -> Tuple[str, int]:
+                                 scoring: ScoringScheme = ScoringScheme()
+                                 ) -> Tuple[str, int]:
     """Native task-level alignment over pure data: the C twin of
     :func:`repro.core.alignment.solve_keyed_alignment`.
 
@@ -378,32 +264,12 @@ def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
     skips the entry-rehydration step entirely - the C kernel already
     returns the shape.
     """
-    native = require_native("nw-banded-native" if banded else "nw-native")
-    n, m = len(keys1), len(keys2)
-    if not _fits_native(n, m, scoring):
-        from .alignment import solve_keyed_alignment
-        return solve_keyed_alignment(keys1, keys2, scoring,
-                                     "nw-banded" if banded else
-                                     "needleman-wunsch")
-    k1, k2 = _as_key_list(keys1), _as_key_list(keys2)
+    native = require_native("nw-native")
+    if not _fits_native(len(keys1), len(keys2), scoring):
+        return solve_keyed_alignment(keys1, keys2, scoring)
     try:
-        if banded:
-            shape = native.solve_banded_keyed(k1, k2, scoring.match,
-                                              scoring.mismatch, scoring.gap,
-                                              derive_band_margin(k1, k2))
-            if shape is not None:
-                return shape
-        return native.solve_keyed(k1, k2, scoring.match, scoring.mismatch,
+        return native.solve_keyed(_as_key_list(keys1), _as_key_list(keys2),
+                                  scoring.match, scoring.mismatch,
                                   scoring.gap)
     except (OverflowError, TypeError):
-        from .alignment import solve_keyed_alignment
-        return solve_keyed_alignment(keys1, keys2, scoring,
-                                     "nw-banded" if banded else
-                                     "needleman-wunsch")
-
-
-#: Keyed kernels by algorithm name, for the AlignmentStage dispatch table.
-KEYED_NATIVE_KERNELS = {
-    "nw-native": needleman_wunsch_native_keyed,
-    "nw-banded-native": needleman_wunsch_banded_native_keyed,
-}
+        return solve_keyed_alignment(keys1, keys2, scoring)

@@ -42,11 +42,6 @@ def build_module(seed=7, families=4, clones=2):
     return module
 
 
-def decisions(report):
-    return [(m.function1, m.function2, m.merged_name, m.rank_position, m.delta)
-            for m in report.merges]
-
-
 def assert_fingerprints_equal(fp: Fingerprint, fresh: Fingerprint):
     assert fp.opcode_freq == fresh.opcode_freq
     assert fp.type_freq == fresh.type_freq
@@ -141,13 +136,17 @@ def test_delta_records_codegen_extras():
 class TestEngineIntegration:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_decisions_identical_with_and_without_incremental(self, seed):
-        incremental = FunctionMergingPass(exploration_threshold=2).run(
+    def test_incremental_fingerprints_match_rescan_after_every_commit(
+            self, seed):
+        # verify_fingerprints recomputes every merged function's fingerprint
+        # from scratch after its commit and raises on any element-wise
+        # divergence from the incremental one
+        report = FunctionMergingPass(exploration_threshold=2,
+                                     verify_fingerprints=True).run(
             build_module(seed))
-        rescan = FunctionMergingPass(exploration_threshold=2,
-                                     incremental_fingerprints=False).run(
-            build_module(seed))
-        assert decisions(incremental) == decisions(rescan)
+        stats = report.stage_stats["fingerprint"]
+        assert (stats.get("incremental", 0) + stats.get("rescans", 0)
+                == report.merge_count)
 
     def test_incremental_is_the_default_and_used(self):
         report = FunctionMergingPass(exploration_threshold=2).run(

@@ -107,6 +107,23 @@ class TestPassBehaviour:
         assert report.merge_count >= 1
         verify_or_raise(module)
 
+    def test_keywords_are_forwarded_to_the_engine(self):
+        options = MergeOptions()
+        pass_ = FunctionMergingPass(ARM_THUMB, exploration_threshold=3,
+                                    options=options, allow_deletion=False,
+                                    alignment_kernel="hirschberg")
+        assert pass_.target is ARM_THUMB
+        assert pass_.exploration_threshold == 3
+        assert pass_.options is options
+        assert pass_.allow_deletion is False
+        assert pass_.engine.alignment.algorithm == "hirschberg"
+
+    @pytest.mark.parametrize("keyword", ["exploration_thresold",
+                                         "incremental_fingerprints"])
+    def test_unknown_keyword_raises_type_error(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            FunctionMergingPass(**{keyword: 2})
+
     def test_minimum_function_size_filter(self):
         module, _ = _module_with_families()
         report = FunctionMergingPass(minimum_function_size=10_000).run(module)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (FunctionMergingPass, MergeEngine, MergeReport,
-                        numpy_available)
+                        native_available, numpy_available)
 from repro.core.engine import make_executor
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
@@ -111,11 +111,11 @@ class TestSchedulerParity:
         verify_or_raise(batched_module)
 
 
-#: Every selectable alignment kernel (None = the engine default); the NumPy
-#: backends join in when the ``fast`` extra is installed.
-KERNELS = [None, "nw-banded"] + (
-    ["nw-numpy", "nw-banded-numpy", "nw-wavefront-numpy"]
-    if numpy_available() else [])
+#: One kernel per available tier (None = the engine default, the pure
+#: keyed kernel); the NumPy and native tiers join in when their backends
+#: are present.
+KERNELS = [None] + (["nw-numpy"] if numpy_available() else []) + (
+    ["nw-native"] if native_available() else [])
 
 
 class TestKernelParity:

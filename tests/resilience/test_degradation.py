@@ -1,5 +1,6 @@
-"""The graceful-degradation ladders: alignment kernels step down
-numpy -> pure (and abort typed from the bottom tier), the offload executor
+"""The graceful-degradation ladders: alignment kernels step down the tier
+table native -> numpy -> pure (and abort typed from the bottom tier), the
+offload executor
 falls back in-process, and every transition surfaces as a structured event
 in ``scheduler_stats["degradations"]``."""
 
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from repro.core import numpy_available
+from repro.core import native_available, numpy_available
 from repro.core.engine import MergeEngine
 from repro.core.pass_ import FunctionMergingPass
 from repro.resilience import FaultPlan, ResilienceError, RetryPolicy
@@ -31,14 +32,34 @@ class TestKernelLadder:
             report = pass_.run(build_module(5))
         assert decisions(report) == reference_decisions()
         # the downgrade is sticky: the stage now runs the pure kernel
-        from repro.core.align_np import PURE_PYTHON_FALLBACKS
-        pure = PURE_PYTHON_FALLBACKS["nw-numpy"]
+        pure = "needleman-wunsch"
         assert pass_.engine.alignment.algorithm == pure
         events = report.scheduler_stats["degradations"]
         assert any(e["component"] == "align-kernel"
                    and e["from"] == "nw-numpy" and e["to"] == pure
                    for e in events)
         assert report.stage_stats["align"]["kernel_degradations"] >= 1
+
+    @pytest.mark.skipif(not (native_available() and numpy_available()),
+                        reason="requires the native and NumPy tiers")
+    def test_native_kernel_crashes_walk_both_rungs_bit_identically(self):
+        # the first two kernel calls crash: native -> numpy on the first,
+        # numpy -> pure when the same pair is re-solved, then pure sticks
+        plan = FaultPlan.parse("seed=4,align.kernel_crash:p=1:count=2")
+        pass_ = FunctionMergingPass(
+            exploration_threshold=2, alignment_kernel="nw-native",
+            fault_plan=plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = pass_.run(build_module(5))
+        assert decisions(report) == reference_decisions()
+        assert pass_.engine.alignment.algorithm == "needleman-wunsch"
+        ladder = [(e["from"], e["to"])
+                  for e in report.scheduler_stats["degradations"]
+                  if e["component"] == "align-kernel"]
+        assert ladder == [("nw-native", "nw-numpy"),
+                          ("nw-numpy", "needleman-wunsch")]
+        assert report.stage_stats["align"]["kernel_degradations"] == 2
 
     def test_pure_tier_crash_aborts_typed(self):
         # the bottom rung has nowhere to fall: the injected fault surfaces
